@@ -4,8 +4,8 @@
 //
 //	nokfsck [-quick] [-v] DIR
 //
-// Opening the store already runs crash recovery (journal rollback,
-// uncommitted-tail truncation, orphan sweep); nokfsck reports what that
+// Opening the store already runs crash recovery (uncommitted-tail
+// truncation, orphan sweep); nokfsck reports what that
 // did, then verifies the recovered state. Sharded collections (a SHARDS
 // manifest in DIR) are detected automatically: the routing manifest is
 // cross-checked against every member store and each shard is verified in
@@ -73,8 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer st.Close()
 
 	if rec := st.Recovery(); rec.Recovered() {
-		fmt.Fprintf(stdout, "recovered at open: journal_replayed=%v journal_discarded=%v\n",
-			rec.JournalReplayed, rec.JournalDiscarded)
+		fmt.Fprintln(stdout, "recovered at open:")
 		for _, f := range rec.TruncatedFiles {
 			fmt.Fprintf(stdout, "  truncated uncommitted tail: %s\n", f)
 		}

@@ -87,8 +87,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "version:      %s\n", buildinfo.String())
 	fmt.Fprintf(stdout, "epoch:        %d\n", st.Epoch())
 	if rec := st.Recovery(); rec.Recovered() {
-		fmt.Fprintf(stdout, "recovery:     journal_replayed=%v journal_discarded=%v truncated=%d orphans_removed=%d\n",
-			rec.JournalReplayed, rec.JournalDiscarded, len(rec.TruncatedFiles), len(rec.OrphansRemoved))
+		fmt.Fprintf(stdout, "recovery:     truncated=%d orphans_removed=%d\n",
+			len(rec.TruncatedFiles), len(rec.OrphansRemoved))
 	}
 	fmt.Fprintf(stdout, "nodes:        %d\n", s.Nodes)
 	fmt.Fprintf(stdout, "pages:        %d\n", s.Pages)

@@ -82,8 +82,9 @@ func main() {
 	wg.Wait()
 	fmt.Printf("cache hit ratio after concurrent run: %.2f\n", srv.CacheHitRatio())
 
-	// A mutation bumps the store generation: the next query misses the
-	// cache and sees the new book immediately.
+	// A committed mutation advances the store epoch, which keys the result
+	// cache: the next query misses the cache and sees the new book
+	// immediately.
 	err = store.Insert("0", strings.NewReader(
 		`<book year="2004"><title>Succinct XML Storage</title><price>10</price></book>`))
 	if err != nil {
@@ -99,7 +100,7 @@ func main() {
 	}
 	json.NewDecoder(resp.Body).Decode(&out)
 	resp.Body.Close()
-	fmt.Printf("after insert: %d titles (cached=%v — invalidated by generation bump)\n", out.Count, out.Cached)
+	fmt.Printf("after insert: %d titles (cached=%v — invalidated by epoch bump)\n", out.Count, out.Cached)
 
 	// Graceful shutdown: stop the listener, drain in-flight queries, close
 	// the store.

@@ -327,7 +327,7 @@ func Update(cfg Config, inserts int) ([]UpdateRow, error) {
 				}
 				idx++
 				return true
-			})
+			}, nil)
 			if err != nil || !found {
 				break
 			}
@@ -380,7 +380,7 @@ func plainTreeCopy(db *core.DB, path string, pageSize int) (*stree.Store, *pager
 		}
 		open++
 		return true
-	})
+	}, nil)
 	if err == nil {
 		err = berr
 	}

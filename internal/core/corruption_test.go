@@ -251,8 +251,9 @@ func TestMissingValuesFile(t *testing.T) {
 	}
 }
 
-// TestRecoveryAfterFailedUpdate: a mid-update failure leaves a journal;
-// reopening rolls back to the committed pre-update state.
+// TestUpdateEpochSwitch: an insert commits epoch 2; a clean reopen reports
+// no recovery, resolves the epoch-2 files through the manifest and finds
+// the epoch-1 files swept.
 func TestUpdateEpochSwitch(t *testing.T) {
 	dir := buildDir(t)
 	db, err := Open(dir, nil)

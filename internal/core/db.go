@@ -38,8 +38,9 @@ import (
 )
 
 // Stable file names inside a database directory. tree.pg and values.dat
-// keep fixed names (in-place/append-only, protected by journal and
-// manifest-length truncation); the rebuilt-on-update files are epoch-named
+// keep fixed names (copy-on-write pages / append-only records, protected by
+// the epoch's page-table sidecar and manifest-length truncation); the
+// rebuilt-on-update files are epoch-named
 // (see manifest.go) and resolved through the MANIFEST.
 const (
 	fileTree   = "tree.pg"

@@ -601,7 +601,7 @@ func (db *Snapshot) nodeInterval(nt *pattern.NoKTree, n *pattern.Node, u Match, 
 	if n.IsVirtualRoot() {
 		return stree.Interval{Start: 0, End: math.MaxUint64}, nil
 	}
-	return db.Tree.IntervalCounted(u.Pos, nc)
+	return db.Tree.Interval(u.Pos, nc)
 }
 
 // intervalsOf computes intervals for a list of matches of node n.

@@ -439,7 +439,7 @@ func (m *matcher) npm(p *pattern.Node, u Match) (bool, error) {
 		if m.allDone(states) {
 			break
 		}
-		uc, ok, err = m.db.Tree.FollowingSiblingCounted(uc, !m.noSkip, m.nc)
+		uc, ok, err = m.db.Tree.FollowingSibling(uc, !m.noSkip, m.nc)
 		if err != nil {
 			return false, err
 		}

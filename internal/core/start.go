@@ -150,7 +150,7 @@ func (db *Snapshot) startsByScan(nt *pattern.NoKTree, nc *stree.NavCounters) ([]
 		want = sym
 	}
 	var out []Match
-	err := db.Tree.ScanCounted(func(pos stree.Pos, sym symtab.Sym, level int, id dewey.ID) bool {
+	err := db.Tree.Scan(func(pos stree.Pos, sym symtab.Sym, level int, id dewey.ID) bool {
 		if wild || sym == want {
 			out = append(out, Match{Pos: pos, ID: id.Clone()})
 		}

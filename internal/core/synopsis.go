@@ -196,7 +196,7 @@ func (db *DB) RefreshSynopsis() error {
 			sb.Value(level, vstore.Hash(v))
 		}
 		return true
-	})
+	}, nil)
 	if err == nil {
 		err = scanErr
 	}

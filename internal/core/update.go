@@ -39,8 +39,7 @@ import (
 //     fresh epoch-named files; the previous epoch's files are untouched.
 //  4. Commit: fsync everything, write the new epoch's page-table sidecar
 //     (treemap), then atomically replace the MANIFEST — the commit point.
-//     A crash anywhere before it leaves the old epoch fully intact; no
-//     undo journal exists or is needed.
+//     A crash anywhere before it leaves the old epoch fully intact.
 //  5. The new Snapshot is published with one pointer swap; the previous
 //     view is garbage-collected when its last reader releases it (its
 //     private tree pages recycle, its superseded files are deleted).
@@ -233,7 +232,7 @@ func (db *DB) countChildren(pos stree.Pos) (uint32, error) {
 	var n uint32
 	for ok {
 		n++
-		c, ok, err = db.Tree.FollowingSibling(c)
+		c, ok, err = db.Tree.FollowingSibling(c, true, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -374,7 +373,7 @@ func (db *DB) rebuildIndexes(next *Snapshot, wtree *stree.Store, valOffByDewey m
 			return false
 		}
 		return true
-	})
+	}, nil)
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,7 @@ import (
 // blob; the caller makes that blob and its manifest record durable, then
 // calls Publish to make the new version current in memory. A crash before
 // the manifest write leaves the previous epoch fully intact on disk (its
-// pages were never overwritten), so no undo journal is needed.
+// pages were never overwritten), so there is nothing to roll back.
 //
 // Physical pages are reclaimed by reference counting: each version's
 // table holds one reference on every physical page it maps. When the last
@@ -130,7 +130,7 @@ func (pf *File) InitVersioning() error {
 	if pf.vs != nil {
 		return fmt.Errorf("pager: %s already versioned", pf.path)
 	}
-	if pf.numPages != 0 || pf.tx != nil {
+	if pf.numPages != 0 {
 		return fmt.Errorf("pager: InitVersioning requires a fresh empty file")
 	}
 	pf.vs = &verState{

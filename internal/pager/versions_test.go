@@ -9,7 +9,7 @@ import (
 // newVersioned creates a versioned file with an initial committed epoch 1
 // containing n pages, each filled with its logical id. Returns the file and
 // the epoch-1 sidecar bytes.
-func newVersioned(t *testing.T, n int) (*File, []byte) {
+func newVersioned(t testing.TB, n int) (*File, []byte) {
 	t.Helper()
 	pf, err := Create(filepath.Join(t.TempDir(), "v.pg"), &Options{PageSize: MinPageSize, PoolPages: 8})
 	if err != nil {
@@ -267,9 +267,18 @@ func TestInstallVersionDerivesFreeList(t *testing.T) {
 	}
 }
 
-func TestVersionedRefusesJournal(t *testing.T) {
+func TestBeginCOWTwiceRejected(t *testing.T) {
 	pf, _ := newVersioned(t, 1)
-	if err := pf.BeginUpdate(7); err == nil {
-		t.Fatal("BeginUpdate on a versioned file should fail")
+	if err := pf.BeginCOW(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.BeginCOW(3); !errors.Is(err, ErrInTx) {
+		t.Errorf("second BeginCOW: err = %v, want ErrInTx", err)
+	}
+	if _, err := pf.SealCOW(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pf.Publish(); err != nil {
+		t.Fatal(err)
 	}
 }

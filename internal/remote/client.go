@@ -523,13 +523,12 @@ func (w *latWindow) p95() time.Duration {
 // statsPayload mirrors the fields of the server's /stats response the
 // client consumes.
 type statsPayload struct {
-	Store      nok.Stats         `json:"store"`
-	Nodes      uint64            `json:"nodes"`
-	Generation uint64            `json:"generation"`
-	Epoch      uint64            `json:"epoch"`
-	MVCC       *nok.MVCCInfo     `json:"mvcc"`
-	Synopsis   *nok.SynopsisInfo `json:"synopsis"`
-	TagCount   *uint64           `json:"tag_count"`
+	Store    nok.Stats         `json:"store"`
+	Nodes    uint64            `json:"nodes"`
+	Epoch    uint64            `json:"epoch"`
+	MVCC     *nok.MVCCInfo     `json:"mvcc"`
+	Synopsis *nok.SynopsisInfo `json:"synopsis"`
+	TagCount *uint64           `json:"tag_count"`
 }
 
 // fetchStats GETs /stats (optionally with extra query parameters) and
@@ -571,9 +570,6 @@ func (c *Client) Stats() nok.Stats { return c.cachedStats().Store }
 
 // NodeCount returns the remote node count (possibly stale when down).
 func (c *Client) NodeCount() uint64 { return c.cachedStats().Nodes }
-
-// Generation returns the remote mutation counter (possibly stale).
-func (c *Client) Generation() uint64 { return c.cachedStats().Generation }
 
 // MVCC returns the remote MVCC accounting; ok is false when the shard
 // has never reported one.

@@ -37,7 +37,7 @@ func scatterHandler(res *ScatterResult) http.Handler {
 		_ = json.NewEncoder(w).Encode(map[string]any{"status": "ok", "epoch": res.Epoch})
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(map[string]any{"nodes": 7, "generation": 3, "epoch": res.Epoch})
+		_ = json.NewEncoder(w).Encode(map[string]any{"nodes": 7, "epoch": res.Epoch})
 	})
 	return mux
 }
@@ -418,7 +418,7 @@ func TestStatsSurface(t *testing.T) {
 			return
 		}
 		_ = json.NewEncoder(w).Encode(map[string]any{
-			"nodes": 11, "generation": 4, "epoch": 6, "tag_count": 3,
+			"nodes": 11, "epoch": 6, "tag_count": 3,
 		})
 	}))
 	defer ts.Close()
@@ -428,19 +428,19 @@ func TestStatsSurface(t *testing.T) {
 	if n := c.NodeCount(); n != 11 {
 		t.Errorf("nodes %d, want 11", n)
 	}
-	if g := c.Generation(); g != 4 {
-		t.Errorf("generation %d, want 4", g)
+	if e := c.Epoch(); e != 6 {
+		t.Errorf("epoch %d, want 6", e)
 	}
 	if tc := c.TagCount("book"); tc != 3 {
 		t.Errorf("tag count %d, want 3", tc)
-	}
-	if e := c.Epoch(); e != 6 {
-		t.Errorf("epoch %d, want 6", e)
 	}
 	// Shard down: the getters keep serving the last good payload.
 	down.Store(true)
 	if n := c.NodeCount(); n != 11 {
 		t.Errorf("stale nodes %d, want cached 11", n)
+	}
+	if e := c.Epoch(); e != 6 {
+		t.Errorf("stale epoch %d, want cached 6", e)
 	}
 }
 

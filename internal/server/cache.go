@@ -11,8 +11,8 @@ import (
 // cacheKey identifies one cacheable evaluation: the *normalized* query (the
 // parsed pattern tree rendered back to text, so `//book` and `// book`
 // collide), the forced strategy, and the state fingerprint at lookup time —
-// the whole-store generation for single stores, the participating (shard,
-// generation) pairs for sharded collections. Mutations to participating
+// the committed epoch for single stores, the participating (shard, epoch)
+// pairs for sharded collections. Mutations to participating
 // state change the fingerprint, so every entry computed before them becomes
 // unreachable — stale results are never served, and dead entries age out
 // through normal LRU eviction. Mutations to shards a query is pruned from

@@ -58,7 +58,6 @@ func (f *faultBackend) Insert(parent string, frag io.Reader) error { return nil 
 func (f *faultBackend) Delete(id string) error                     { return nil }
 func (f *faultBackend) Stats() nok.Stats                           { return nok.Stats{} }
 func (f *faultBackend) NodeCount() uint64                          { return 1 }
-func (f *faultBackend) Generation() uint64                         { return 1 }
 func (f *faultBackend) Epoch() uint64                              { return 1 }
 func (f *faultBackend) Synopsis(n int) nok.SynopsisInfo            { return nok.SynopsisInfo{} }
 func (f *faultBackend) Verify(deep bool) *nok.VerifyResult         { return &nok.VerifyResult{} }

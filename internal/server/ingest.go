@@ -37,10 +37,9 @@ type ingestResponse struct {
 	// Durable reports whether the response waited for the group commit
 	// (the default); with ?wait=0 the documents are accepted but may still
 	// be buffered.
-	Durable    bool   `json:"durable"`
-	Generation uint64 `json:"generation"`
-	Epoch      uint64 `json:"epoch"`
-	Nodes      uint64 `json:"nodes"`
+	Durable bool   `json:"durable"`
+	Epoch   uint64 `json:"epoch"`
+	Nodes   uint64 `json:"nodes"`
 }
 
 // handleIngest streams a concatenation of XML document fragments from the
@@ -109,7 +108,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, status, ingestResponse{
 		OK: true, Docs: accepted, Durable: durable,
-		Generation: s.store.Generation(), Epoch: s.store.Epoch(), Nodes: s.store.NodeCount(),
+		Epoch: s.store.Epoch(), Nodes: s.store.NodeCount(),
 	})
 }
 

@@ -146,7 +146,6 @@ type Backend interface {
 	Delete(id string) error
 	Stats() nok.Stats
 	NodeCount() uint64
-	Generation() uint64
 	Epoch() uint64
 	Synopsis(n int) nok.SynopsisInfo
 	Verify(deep bool) *nok.VerifyResult
@@ -154,9 +153,9 @@ type Backend interface {
 }
 
 // CacheFingerprinter is an optional Backend refinement: instead of keying
-// cached results on the whole-store generation, the backend names exactly
+// cached results on the whole-store epoch, the backend names exactly
 // the state a query's answer depends on. The sharded store returns the
-// participating (shard, generation) pairs, so a write to shard 3 does not
+// participating (shard, epoch) pairs, so a write to shard 3 does not
 // evict shard 0's cached results. An empty fingerprint marks the query
 // uncachable.
 type CacheFingerprinter interface {
@@ -541,10 +540,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // fingerprint names the store state a cached answer for expr depends on:
 // the backend's per-query fingerprint when it offers one, the committed
-// MVCC epoch otherwise. The epoch is precise where the mutation counter is
-// not: it advances only when a mutation actually commits, and two reads of
-// the same epoch are guaranteed byte-identical state, so a failed insert
-// no longer evicts every cached result. "" marks the query uncachable. It
+// MVCC epoch otherwise. The epoch advances only when a mutation actually
+// commits, and two reads of the same epoch are guaranteed byte-identical
+// state, so a failed insert does not evict any cached result. "" marks the query uncachable. It
 // takes the raw query text (not the canonical tree rendering, which is a
 // display form and not re-parseable); textual variants of one query still
 // share a cache entry because the canonical form is the key and the
@@ -694,10 +692,9 @@ func (s *Server) handleValue(w http.ResponseWriter, r *http.Request) {
 }
 
 type mutationResponse struct {
-	OK         bool   `json:"ok"`
-	Generation uint64 `json:"generation"`
-	Epoch      uint64 `json:"epoch"`
-	Nodes      uint64 `json:"nodes"`
+	OK    bool   `json:"ok"`
+	Epoch uint64 `json:"epoch"`
+	Nodes uint64 `json:"nodes"`
 }
 
 // refuseMutation writes the 503 for degraded/draining states; it reports
@@ -744,7 +741,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	mMutations.Inc()
 	writeJSON(w, http.StatusOK, mutationResponse{
-		OK: true, Generation: s.store.Generation(), Epoch: s.store.Epoch(), Nodes: s.store.NodeCount(),
+		OK: true, Epoch: s.store.Epoch(), Nodes: s.store.NodeCount(),
 	})
 }
 
@@ -763,18 +760,17 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	mMutations.Inc()
 	writeJSON(w, http.StatusOK, mutationResponse{
-		OK: true, Generation: s.store.Generation(), Epoch: s.store.Epoch(), Nodes: s.store.NodeCount(),
+		OK: true, Epoch: s.store.Epoch(), Nodes: s.store.NodeCount(),
 	})
 }
 
 type statsResponse struct {
-	Version    string            `json:"version"`
-	Store      nok.Stats         `json:"store"`
-	Nodes      uint64            `json:"nodes"`
-	Generation uint64            `json:"generation"`
-	Epoch      uint64            `json:"epoch"`
-	MVCC       *nok.MVCCInfo     `json:"mvcc,omitempty"`
-	Synopsis   *nok.SynopsisInfo `json:"synopsis,omitempty"`
+	Version  string            `json:"version"`
+	Store    nok.Stats         `json:"store"`
+	Nodes    uint64            `json:"nodes"`
+	Epoch    uint64            `json:"epoch"`
+	MVCC     *nok.MVCCInfo     `json:"mvcc,omitempty"`
+	Synopsis *nok.SynopsisInfo `json:"synopsis,omitempty"`
 	// TagCount answers ?tag=NAME: the number of nodes with that tag.
 	TagCount *uint64 `json:"tag_count,omitempty"`
 	// Shards reports per-shard availability for sharded backends —
@@ -812,7 +808,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Version:    buildinfo.String(),
 		Store:      s.store.Stats(),
 		Nodes:      s.store.NodeCount(),
-		Generation: s.store.Generation(),
 		Epoch:      s.store.Epoch(),
 		Synopsis:   &syn,
 		Workers:    s.cfg.Workers,

@@ -187,7 +187,7 @@ func TestEndpoints(t *testing.T) {
 }
 
 // TestCacheInvalidation checks the acceptance property "stale results must
-// not be served": a mutation bumps the store generation, so the cached
+// not be served": a mutation bumps the store epoch, so the cached
 // pre-mutation entry becomes unreachable.
 func TestCacheInvalidation(t *testing.T) {
 	srv, ts := newTestServer(t, samples.Bibliography, Config{})

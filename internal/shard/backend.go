@@ -32,7 +32,6 @@ type Backend interface {
 
 	Stats() nok.Stats
 	NodeCount() uint64
-	Generation() uint64
 	Epoch() uint64
 	TagCount(name string) uint64
 	Synopsis(n int) nok.SynopsisInfo

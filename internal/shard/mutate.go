@@ -232,19 +232,6 @@ func fragmentRootTag(buf []byte) (string, error) {
 	}
 }
 
-// Generation returns the sum of the shard generations: it is bumped by
-// every mutation anywhere in the collection. Caches wanting finer-grained
-// invalidation should key on CacheFingerprint instead.
-func (st *Store) Generation() uint64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var g uint64
-	for _, sub := range st.shards {
-		g += sub.Generation()
-	}
-	return g
-}
-
 // CacheFingerprint identifies exactly the state a cached result for expr
 // depends on: the (shard, epoch) pairs of the shards that would
 // participate in evaluating it right now. Epochs only advance on committed

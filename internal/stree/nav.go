@@ -87,28 +87,12 @@ func (s *Store) FirstChild(p Pos) (Pos, bool, error) {
 
 // FollowingSibling returns the position of p's next sibling, or ok=false if
 // none exists. It scans forward for an open token at level(p), stopping at
-// the parent's close (running level level(p)-2); pages whose [lo,hi] range
-// cannot contain running level level(p)-1 are skipped without I/O — the
-// paper's page-skip optimization driven by the in-memory header table.
-func (s *Store) FollowingSibling(p Pos) (Pos, bool, error) {
-	return s.followingSibling(p, true, nil)
-}
-
-// FollowingSiblingNoSkip is FollowingSibling with the header-based page
-// skipping disabled; it exists for the ablation benchmark that quantifies
-// the value of the (st,lo,hi) vectors.
-func (s *Store) FollowingSiblingNoSkip(p Pos) (Pos, bool, error) {
-	return s.followingSibling(p, false, nil)
-}
-
-// FollowingSiblingCounted is FollowingSibling with an optional per-caller
-// page counter (nil is allowed) and an explicit skip switch; the query
-// evaluator uses it to attribute page work to individual queries.
-func (s *Store) FollowingSiblingCounted(p Pos, skip bool, nc *NavCounters) (Pos, bool, error) {
-	return s.followingSibling(p, skip, nc)
-}
-
-func (s *Store) followingSibling(p Pos, skip bool, nc *NavCounters) (Pos, bool, error) {
+// the parent's close (running level level(p)-2). With skip set, pages whose
+// [lo,hi] range cannot contain running level level(p)-1 are skipped without
+// I/O — the paper's page-skip optimization driven by the in-memory header
+// table; skip=false is the ablation that quantifies the (st,lo,hi) vectors.
+// Page work is also charged to nc, which may be nil.
+func (s *Store) FollowingSibling(p Pos, skip bool, nc *NavCounters) (Pos, bool, error) {
 	if !s.validPos(p) {
 		return Pos{}, false, fmt.Errorf("%w: %v", ErrBadPos, p)
 	}
@@ -176,17 +160,9 @@ func (s *Store) followingSibling(p Pos, skip bool, nc *NavCounters) (Pos, bool, 
 
 // SubtreeEnd returns the position of the close token matching the open
 // token at p. Pages that cannot contain running level level(p)-1 are
-// skipped via the header table.
-func (s *Store) SubtreeEnd(p Pos) (Pos, error) {
-	return s.subtreeEnd(p, nil)
-}
-
-// SubtreeEndCounted is SubtreeEnd with an optional per-caller page counter.
-func (s *Store) SubtreeEndCounted(p Pos, nc *NavCounters) (Pos, error) {
-	return s.subtreeEnd(p, nc)
-}
-
-func (s *Store) subtreeEnd(p Pos, nc *NavCounters) (Pos, error) {
+// skipped via the header table. Page work is also charged to nc, which may
+// be nil.
+func (s *Store) SubtreeEnd(p Pos, nc *NavCounters) (Pos, error) {
 	if !s.validPos(p) {
 		return Pos{}, fmt.Errorf("%w: %v", ErrBadPos, p)
 	}
@@ -246,14 +222,10 @@ func (s *Store) subtreeEnd(p Pos, nc *NavCounters) (Pos, error) {
 }
 
 // Interval returns the paper's interval encoding surrogate for the node at
-// p: the DocPos of its open token and of its matching close (§5).
-func (s *Store) Interval(p Pos) (Interval, error) {
-	return s.IntervalCounted(p, nil)
-}
-
-// IntervalCounted is Interval with an optional per-caller page counter.
-func (s *Store) IntervalCounted(p Pos, nc *NavCounters) (Interval, error) {
-	end, err := s.subtreeEnd(p, nc)
+// p: the DocPos of its open token and of its matching close (§5). Page work
+// is also charged to nc, which may be nil.
+func (s *Store) Interval(p Pos, nc *NavCounters) (Interval, error) {
+	end, err := s.SubtreeEnd(p, nc)
 	if err != nil {
 		return Interval{}, err
 	}
@@ -269,13 +241,8 @@ type ScanFunc func(pos Pos, sym symtab.Sym, level int, id dewey.ID) bool
 // Scan walks the whole document in document order (the naïve
 // starting-point strategy of §3 and the index build path), deriving Dewey
 // IDs on the fly, which is exactly why the paper stores no per-node IDs.
-func (s *Store) Scan(fn ScanFunc) error {
-	return s.ScanCounted(fn, nil)
-}
-
-// ScanCounted is Scan with an optional per-caller page counter; every
-// non-empty page visited is charged as examined.
-func (s *Store) ScanCounted(fn ScanFunc, nc *NavCounters) error {
+// Every non-empty page visited is charged to nc as examined; nc may be nil.
+func (s *Store) Scan(fn ScanFunc, nc *NavCounters) error {
 	if len(s.headers) == 0 {
 		return nil
 	}

@@ -57,7 +57,7 @@ func TestQuickNavigationInvariants(t *testing.T) {
 				if !walk(c, out) {
 					return false
 				}
-				c, ok, err = s.FollowingSibling(c)
+				c, ok, err = s.FollowingSibling(c, true, nil)
 				if err != nil {
 					return false
 				}
@@ -86,7 +86,7 @@ func TestQuickNavigationInvariants(t *testing.T) {
 		// Intervals of consecutive preorder nodes either nest or are
 		// disjoint, and each interval is non-empty.
 		for _, p := range navOrder {
-			iv, err := s.Interval(p)
+			iv, err := s.Interval(p, nil)
 			if err != nil || iv.End <= iv.Start {
 				return false
 			}

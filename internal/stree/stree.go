@@ -157,7 +157,7 @@ type NavStats struct {
 }
 
 // NavCounters accumulates per-caller navigation counts. A query evaluation
-// owns one and passes it to the *Counted navigation variants, giving
+// owns one and passes it to the navigation calls, giving
 // per-query PagesScanned/PagesSkipped numbers that the store-global
 // (concurrently shared) NavStats cannot provide. A NavCounters is owned by
 // one goroutine; it is deliberately not synchronized.

@@ -180,7 +180,7 @@ func scanPositions(t *testing.T, s *Store) []Pos {
 	err := s.Scan(func(pos Pos, sym symtab.Sym, level int, id dewey.ID) bool {
 		out = append(out, pos)
 		return true
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func crossCheck(t *testing.T, s *Store, script []symtab.Sym) {
 		}
 		i++
 		return true
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func crossCheck(t *testing.T, s *Store, script []symtab.Sym) {
 				t.Fatalf("FirstChild(%v) = %v,%v, want %v", pos, fc, ok, want)
 			}
 		}
-		fs, ok, err := s.FollowingSibling(pos)
+		fs, ok, err := s.FollowingSibling(pos, true, nil)
 		if err != nil {
 			t.Fatalf("FollowingSibling(%v): %v", pos, err)
 		}
@@ -265,20 +265,20 @@ func crossCheck(t *testing.T, s *Store, script []symtab.Sym) {
 				t.Fatalf("FollowingSibling(%v) = %v,%v, want %v", pos, fs, ok, want)
 			}
 		}
-		// No-skip variant must agree exactly.
-		fs2, ok2, err := s.FollowingSiblingNoSkip(pos)
+		// Navigation without page skipping must agree exactly.
+		fs2, ok2, err := s.FollowingSibling(pos, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok2 != ok || (ok && fs2 != fs) {
-			t.Fatalf("FollowingSiblingNoSkip(%v) disagrees: %v,%v vs %v,%v", pos, fs2, ok2, fs, ok)
+			t.Fatalf("FollowingSibling(%v, skip=false) disagrees: %v,%v vs %v,%v", pos, fs2, ok2, fs, ok)
 		}
 	}
 
 	// Interval containment must mirror ancestor relations.
 	ivs := make([]Interval, len(nodes))
 	for i := range nodes {
-		iv, err := s.Interval(positions[i])
+		iv, err := s.Interval(positions[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,14 +491,14 @@ func TestPageSkipReducesIO(t *testing.T) {
 	}
 	drainCaches()
 	pf.ResetStats()
-	if _, _, err := s.FollowingSibling(child1); err != nil {
+	if _, _, err := s.FollowingSibling(child1, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	withSkip := pf.Stats().PhysicalReads + pf.Stats().CacheHits
 
 	drainCaches()
 	pf.ResetStats()
-	if _, _, err := s.FollowingSiblingNoSkip(child1); err != nil {
+	if _, _, err := s.FollowingSibling(child1, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	withoutSkip := pf.Stats().PhysicalReads + pf.Stats().CacheHits
@@ -545,11 +545,11 @@ func TestConcurrentNavigation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, _, err := s.FollowingSibling(p); err != nil {
+				if _, _, err := s.FollowingSibling(p, true, nil); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := s.SubtreeEnd(p); err != nil {
+				if _, err := s.SubtreeEnd(p, nil); err != nil {
 					t.Error(err)
 					return
 				}

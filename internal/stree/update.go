@@ -96,7 +96,7 @@ func countTokens(tokens []byte) (opens int, err error) {
 // InsertChild inserts the balanced token string as the last child of the
 // node at parent. All outstanding positions are invalidated.
 func (s *Store) InsertChild(parent Pos, tokens []byte) error {
-	end, err := s.SubtreeEnd(parent)
+	end, err := s.SubtreeEnd(parent, nil)
 	if err != nil {
 		return err
 	}
@@ -222,7 +222,7 @@ func (s *Store) DeleteSubtree(p Pos) error {
 	if !s.validPos(p) {
 		return fmt.Errorf("%w: %v", ErrBadPos, p)
 	}
-	end, err := s.SubtreeEnd(p)
+	end, err := s.SubtreeEnd(p, nil)
 	if err != nil {
 		return err
 	}

@@ -18,13 +18,13 @@ func scanScript(t *testing.T, s *Store) []symtab.Sym {
 	}
 	var evs []ev
 	err := s.Scan(func(pos Pos, sym symtab.Sym, level int, id dewey.ID) bool {
-		end, err := s.SubtreeEnd(pos)
+		end, err := s.SubtreeEnd(pos, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		evs = append(evs, ev{pos.DocPos(), sym}, ev{end.DocPos(), 0})
 		return true
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestDeleteRoot(t *testing.T) {
 	// The store must accept a fresh document via insert-into-empty? Not
 	// supported; emptied stores are rebuilt. Verify Scan is a no-op.
 	n := 0
-	if err := s.Scan(func(Pos, symtab.Sym, int, dewey.ID) bool { n++; return true }); err != nil {
+	if err := s.Scan(func(Pos, symtab.Sym, int, dewey.ID) bool { n++; return true }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {

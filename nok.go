@@ -173,11 +173,6 @@ type Store struct {
 	// closed flips under mu in Close; core's own close then drains
 	// in-flight snapshot readers before releasing the pager.
 	closed bool
-
-	// gen counts mutations (Insert/Delete). It predates epochs and is kept
-	// for compatibility; prefer Epoch, which only advances on *committed*
-	// mutations (see internal/server's result cache).
-	gen atomic.Uint64
 }
 
 // ErrClosed is returned by Store methods called after Close.
@@ -253,11 +248,6 @@ func (s *Store) NodeCount() uint64 {
 	defer v.Release()
 	return v.NodeCount()
 }
-
-// Generation returns the store's mutation counter: it starts at 0 and is
-// bumped by every Insert and Delete. Cache query results keyed on
-// (expression, Generation) and a mutation invalidates them wholesale.
-func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // Query evaluates a path expression and returns matches in document order.
 func (s *Store) Query(expr string) ([]Result, error) {
@@ -466,9 +456,6 @@ func (s *Store) Insert(parentID string, fragment io.Reader) error {
 	if err != nil {
 		return err
 	}
-	// Bump even when the insert errors: a partial mutation may have touched
-	// pages, and over-invalidating caches is always safe.
-	s.gen.Add(1)
 	return mapClosed(s.db.InsertFragment(id, fragment))
 }
 
@@ -501,9 +488,6 @@ func (s *Store) InsertBatch(parentID string, fragments [][]byte) error {
 	for i, f := range fragments {
 		readers[i] = bytes.NewReader(f)
 	}
-	// Bump even when the insert errors: a partial mutation may have touched
-	// pages, and over-invalidating caches is always safe.
-	s.gen.Add(1)
 	return mapClosed(s.db.InsertFragmentBatch(id, readers))
 }
 
@@ -519,7 +503,6 @@ func (s *Store) Delete(id string) error {
 	if err != nil {
 		return err
 	}
-	s.gen.Add(1)
 	return mapClosed(s.db.DeleteSubtree(did))
 }
 
@@ -590,8 +573,7 @@ func (s *Store) Recovery() RecoveryInfo {
 // Epoch returns the store's committed epoch: 1 after the initial load,
 // bumped by every committed Insert/Delete. Two reads of the same epoch are
 // guaranteed to observe identical store state, which makes the epoch the
-// correct result-cache key (unlike Generation, which also counts failed
-// mutations).
+// correct result-cache key.
 func (s *Store) Epoch() uint64 {
 	v, err := s.acquire()
 	if err != nil {
