@@ -20,7 +20,7 @@
 // dataset to keep `go test -bench .` to minutes; set
 // NOK_BENCH_DATASETS=all (or a comma-separated list) for the full matrix,
 // or use cmd/nokbench, which always regenerates the complete tables.
-package nok
+package nok_test
 
 import (
 	"fmt"

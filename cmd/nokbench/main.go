@@ -31,7 +31,6 @@ import (
 
 	"nok/internal/bench"
 	"nok/internal/buildinfo"
-	"nok/internal/shardbench"
 	"nok/internal/workload"
 )
 
@@ -149,24 +148,24 @@ func main() {
 			bench.WritePlanner(out, rows)
 		case "shard":
 			fmt.Fprintln(out, "== Sharded scatter-gather speedup ==")
-			rows, err := shardbench.Shard(cfg)
+			rows, err := bench.Shard(cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			shardbench.WriteShard(out, rows)
-			if sp := shardbench.ShardSpeedupAt(rows, 4); sp < shardbench.ShardSpeedupMin {
-				log.Fatalf("4-shard speedup %.2fx is below the %.1fx budget", sp, shardbench.ShardSpeedupMin)
+			bench.WriteShard(out, rows)
+			if sp := bench.ShardSpeedupAt(rows, 4); sp < bench.ShardSpeedupMin {
+				log.Fatalf("4-shard speedup %.2fx is below the %.1fx budget", sp, bench.ShardSpeedupMin)
 			}
 		case "remote":
 			fmt.Fprintln(out, "== Remote 4-shard loopback scatter vs in-process ==")
-			res, err := shardbench.Remote(cfg)
+			res, err := bench.Remote(cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			shardbench.WriteRemote(out, res)
-			if res.Ratio > shardbench.RemoteOverheadMax {
+			bench.WriteRemote(out, res)
+			if res.Ratio > bench.RemoteOverheadMax {
 				log.Fatalf("remote scatter is %.2fx the in-process pass, over the %.1fx budget",
-					res.Ratio, shardbench.RemoteOverheadMax)
+					res.Ratio, bench.RemoteOverheadMax)
 			}
 		case "telemetry":
 			fmt.Fprintln(out, "== Telemetry capture overhead (warm cache) ==")
@@ -201,9 +200,9 @@ func main() {
 				log.Fatalf("group commit is only %.1fx per-Insert throughput, below the %.0fx budget",
 					res.Speedup, bench.IngestSpeedupMin)
 			}
-			if !res.SynopsisFresh || res.Fallbacks != 0 {
-				log.Fatalf("synopsis went stale during the streamed load (fresh=%v, %d planner fallbacks)",
-					res.SynopsisFresh, res.Fallbacks)
+			if !res.SynopsisCurrent || res.Unplanned != 0 {
+				log.Fatalf("synopsis audit failed after the streamed load (at store epoch=%v, %d unplanned queries)",
+					res.SynopsisCurrent, res.Unplanned)
 			}
 		default:
 			log.Fatalf("unknown table %q", name)

@@ -5,6 +5,9 @@
 // twelve query categories), the §4.2 storage-ratio and header-memory
 // claims, Proposition 1's single-pass I/O bound, the §6.2 index-choice
 // heuristic, the update locality claim, and the streaming adaptation.
+// It also holds the experiments behind nokbench's budget gates: telemetry
+// overhead, sharded scatter-gather speedup, remote scatter overhead, MVCC
+// read latency and group-commit ingest.
 //
 // See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
 // paper-vs-measured results.

@@ -355,7 +355,7 @@ func TestScanRangeAndPrefix(t *testing.T) {
 		prev = pos
 		count++
 		return true
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

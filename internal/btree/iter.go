@@ -104,9 +104,22 @@ func (it *Iterator) Err() error { return it.err }
 // in ascending key order, stopping early when fn returns false. This is the
 // multi-valued index access path: the tag-name and value indexes compose
 // keys as prefix‖payload.
-func (t *Tree) ScanPrefix(prefix []byte, fn func(key, value []byte) bool) error {
+//
+// When pages is non-nil the scan charges it the pages it touches: the
+// root-to-leaf descent (Height pages) plus one per leaf-chain advance. The
+// planner's cost model (internal/planner) prices index accesses in those
+// pages, so QueryStats.PagesScanned reflects starting-point location work.
+func (t *Tree) ScanPrefix(prefix []byte, fn func(key, value []byte) bool, pages *uint64) error {
 	it := t.Seek(prefix)
+	if pages != nil {
+		*pages += uint64(t.Height())
+	}
+	last := it.leaf
 	for it.Next() {
+		if pages != nil && it.leaf != last && it.leaf != pager.InvalidPage {
+			*pages++
+			last = it.leaf
+		}
 		if !bytes.HasPrefix(it.Key(), prefix) {
 			break
 		}

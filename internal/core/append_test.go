@@ -13,21 +13,20 @@ import (
 )
 
 // checkSynopsisAgainstRebuild asserts the committed (incrementally merged)
-// synopsis is byte-identical to a full rebuild at the same epoch —
-// RefreshSynopsis rescans the whole tree, which is the oracle.
+// synopsis is byte-identical to a full rebuild at the same epoch — the
+// scan Open rebuilds a damaged synopsis with is the oracle.
 func checkSynopsisAgainstRebuild(t *testing.T, db *DB) {
 	t.Helper()
-	if !db.SynopsisFresh() {
+	if db.Synopsis().Epoch != db.Epoch() {
 		t.Fatal("synopsis stale after batch insert")
 	}
-	merged := stats.Encode(db.Synopsis())
-	if err := db.RefreshSynopsis(); err != nil {
-		t.Fatalf("RefreshSynopsis: %v", err)
+	rebuilt, err := db.scanSynopsis()
+	if err != nil {
+		t.Fatalf("scanSynopsis: %v", err)
 	}
-	rebuilt := stats.Encode(db.Synopsis())
-	if !bytes.Equal(merged, rebuilt) {
+	if !bytes.Equal(stats.Encode(db.Synopsis()), stats.Encode(rebuilt)) {
 		t.Fatalf("incrementally merged synopsis differs from full rebuild:\nmerged:  %+v\nrebuilt: %+v",
-			db.Synopsis(), db.Synopsis())
+			db.Synopsis(), rebuilt)
 	}
 }
 
@@ -190,24 +189,19 @@ func TestInsertFragmentBatchRejectsEmptyFragment(t *testing.T) {
 	}
 }
 
-// TestInsertFragmentBatchStaleSynopsisFallback forces the no-synopsis path
-// and checks the batch still commits with a correct (rebuilt) synopsis.
-func TestInsertFragmentBatchStaleSynopsisFallback(t *testing.T) {
+// TestInsertFragmentBatchUnmergeableSynopsis gives the batch a committed
+// synopsis stats.Merge cannot combine (no value sketch) and checks the
+// batch still commits, through the rebuild scan, with a correct synopsis.
+func TestInsertFragmentBatchUnmergeableSynopsis(t *testing.T) {
 	db := loadDB(t, samples.Bibliography, smallPages())
-	// Simulate a stale synopsis as an old store (pre-synopsis epoch) would
-	// present it: the loaded synopsis carries a past epoch.
-	old := db.Synopsis()
-	stale := *old
-	stale.Epoch = old.Epoch + 1000
-	db.Snapshot.syn.Store(&stale)
-	if db.SynopsisFresh() {
-		t.Fatal("setup: synopsis should be stale")
-	}
+	unmergeable := *db.Synopsis()
+	unmergeable.Values = nil
+	db.Snapshot.syn = &unmergeable
 	if err := db.InsertFragmentBatch(mustID(t, "0"), []io.Reader{
 		strings.NewReader(`<book><title>Fallback</title></book>`),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// The rebuild scan recollected the synopsis; it is fresh again.
+	// The rebuild scan recollected the synopsis.
 	checkSynopsisAgainstRebuild(t, db)
 }

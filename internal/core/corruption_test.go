@@ -140,7 +140,7 @@ func TestOpenCorruptedFixtures(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.Epoch++
-				for _, role := range []string{roleTags, roleStats, roleTagIdx, roleValIdx, roleDewIdx, rolePathIdx} {
+				for _, role := range []string{roleTags, roleTagIdx, roleValIdx, roleDewIdx, rolePathIdx} {
 					rec := m.Files[role]
 					rec.Name = epochFileName(role, m.Epoch)
 					m.Files[role] = rec
@@ -301,4 +301,38 @@ func TestUpdateEpochSwitch(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, epochFileName(roleTagIdx, 1))); !os.IsNotExist(err) {
 		t.Errorf("old epoch file still present (err=%v)", err)
 	}
+}
+
+// legacyStatsFile is the per-tag count file older builds committed at
+// epoch 1 under a "stats" manifest role.
+const legacyStatsFile = "stats-00000001.dat"
+
+// commitFile writes data as the file of a manifest role and recommits the
+// manifest over it, behind the store's back.
+func commitFile(t *testing.T, dir, role, name string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := readManifest(vfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Files[role], err = record(vfs.OS, dir, name); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeManifest(vfs.OS, dir, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// addStatsRole turns a freshly loaded store into the layout older builds
+// wrote: its manifest also commits legacyStatsFile. The file must not
+// exist yet: a fresh load never writes one.
+func addStatsRole(t *testing.T, dir string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, legacyStatsFile)); !os.IsNotExist(err) {
+		t.Fatalf("a fresh load wrote %s (err=%v)", legacyStatsFile, err)
+	}
+	commitFile(t, dir, "stats", legacyStatsFile, make([]byte, 12))
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,18 +21,22 @@ const crashDoc = `<bib><book year="2004"><title>a</title><price>9</price></book>
 const crashFragment = `<book year="2005"><title>b</title><price>11</price></book>`
 
 // crashWorkload opens the store through fsys, inserts a fragment, deletes
-// it again, and closes. Any step may fail once a fault is armed; the first
-// error aborts the rest (the process "died" there).
+// it again, inserts it once more, and closes. Any step may fail once a
+// fault is armed; the first error aborts the rest (the process "died"
+// there).
 func crashWorkload(dir string, fsys vfs.FS) error {
 	db, err := Open(dir, &Options{FS: fsys})
 	if err != nil {
 		return err
 	}
-	if err := db.InsertFragment(dewey.Root(), strings.NewReader(crashFragment)); err != nil {
-		db.Close()
-		return err
+	err = db.InsertFragment(dewey.Root(), strings.NewReader(crashFragment))
+	if err == nil {
+		err = db.DeleteSubtree(mustID2("0.1"))
 	}
-	if err := db.DeleteSubtree(mustID2("0.1")); err != nil {
+	if err == nil {
+		err = db.InsertFragment(dewey.Root(), strings.NewReader(crashFragment))
+	}
+	if err != nil {
 		db.Close()
 		return err
 	}
@@ -43,6 +49,19 @@ func mustID2(s string) dewey.ID {
 		panic(err)
 	}
 	return id
+}
+
+// reopenCommitted opens dir on the real file system after a crash. Every
+// committed state has its synopsis, so Open must not need to rebuild one:
+// a rebuild here would hide a commit protocol bug.
+func reopenCommitted(t *testing.T, dir string) (*DB, error) {
+	t.Helper()
+	before := synopsisRebuilds()
+	db, err := Open(dir, nil)
+	if got := synopsisRebuilds() - before; got != 0 {
+		t.Errorf("recovery rebuilt the synopsis %d times", got)
+	}
+	return db, err
 }
 
 // buildCrashBase loads crashDoc into dir fault-free and returns the node
@@ -66,11 +85,13 @@ func buildCrashBase(t *testing.T, dir string) (n0, n1 uint64) {
 }
 
 // TestCrashDuringUpdateSweep is the tentpole crash-consistency test: it
-// runs an open→insert→delete→close workload once per mutating file-system
-// operation, killing the "process" at that operation, then reopens the
-// store with the real file system and requires that recovery always lands
-// on a committed state — node count and epoch of either the pre-insert,
-// post-insert, or post-delete commit — and that a deep Verify is clean.
+// runs an open→insert→delete→insert→close workload once per mutating
+// file-system operation, killing the "process" at that operation, then
+// reopens the store with the real file system and requires that recovery
+// always lands on a committed state — node count and epoch of one of the
+// four commits — and that a deep Verify is clean. The store starts in the
+// layout older builds wrote (addStatsRole), so the sweep also covers the
+// first commit dropping that layout's stats file.
 func TestCrashDuringUpdateSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep re-runs the workload once per fault point")
@@ -89,6 +110,7 @@ func TestCrashDuringUpdateSweep(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	addStatsRole(t, probeDir)
 	counter := faultfs.New(vfs.OS)
 	if err := crashWorkload(probeDir, counter); err != nil {
 		t.Fatal(err)
@@ -112,6 +134,7 @@ func TestCrashDuringUpdateSweep(t *testing.T) {
 				if err := db.Close(); err != nil {
 					t.Fatal(err)
 				}
+				addStatsRole(t, dir)
 
 				ffs := faultfs.New(vfs.OS)
 				ffs.FailAt(i, mode)
@@ -126,7 +149,7 @@ func TestCrashDuringUpdateSweep(t *testing.T) {
 				// The store must reopen on the real file system, recovery
 				// must land on a committed state, and deep verification
 				// must find nothing wrong.
-				re, err := Open(dir, nil)
+				re, err := reopenCommitted(t, dir)
 				if err != nil {
 					t.Fatalf("reopen after crash at op %d: %v", i, err)
 				}
@@ -140,14 +163,14 @@ func TestCrashDuringUpdateSweep(t *testing.T) {
 					t.Errorf("node count %d after crash at op %d; want %d (pre/post-delete) or %d (post-insert)", n, i, n0, n1)
 				}
 				e := re.Epoch()
-				if e < baseEpoch || e > baseEpoch+2 {
-					t.Errorf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+2)
+				if e < baseEpoch || e > baseEpoch+3 {
+					t.Errorf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+3)
 				}
 				// The recovered epoch and the recovered content must name the
-				// same commit: epoch base+1 is the post-insert state, base
-				// and base+2 the one-book states around it.
+				// same commit: epochs base+1 and base+3 are post-insert
+				// states, base and base+2 the one-book states around them.
 				wantN := n0
-				if e == baseEpoch+1 {
+				if (e-baseEpoch)%2 == 1 {
 					wantN = n1
 				}
 				if n != wantN {
@@ -159,6 +182,12 @@ func TestCrashDuringUpdateSweep(t *testing.T) {
 				mi := re.MVCCInfo()
 				if mi.LiveVersions != 1 || mi.OrphanPages != 0 {
 					t.Errorf("MVCC state after crash at op %d: %+v", i, mi)
+				}
+				// The old layout's stats file lives exactly as long as the
+				// committed manifest names it.
+				_, named := re.Manifest().Files["stats"]
+				if _, err := os.Stat(filepath.Join(dir, legacyStatsFile)); named != (err == nil) {
+					t.Errorf("after crash at op %d: manifest names stats=%v, file stat err=%v", i, named, err)
 				}
 				// The recovered store must accept new commits.
 				if err := re.InsertFragment(dewey.Root(), strings.NewReader(crashFragment)); err != nil {
@@ -175,18 +204,30 @@ func TestCrashDuringUpdateSweep(t *testing.T) {
 // point before the manifest commit must leave a directory that Open
 // rejects cleanly with ErrNoManifest (never a half-built store that opens
 // as valid); a crash after the commit point must open and verify clean.
+// The document and the 256-byte pages make the string tree and the index
+// files span several pages, so crashes also land between page writes of
+// one file.
 func TestCrashDuringLoadSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep re-runs the load once per fault point")
 	}
+	var doc strings.Builder
+	doc.WriteString("<bib>")
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&doc, `<book year="%d"><title>t%d</title><price>%d</price></book>`, 2000+i, i, i)
+	}
+	doc.WriteString("</bib>")
 
 	counter := faultfs.New(vfs.OS)
 	dir := t.TempDir() + "/probe"
-	db, err := LoadXML(dir, strings.NewReader(crashDoc), &Options{FS: counter})
+	db, err := LoadXML(dir, strings.NewReader(doc.String()), &Options{FS: counter, PageSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantNodes := db.NodeCount()
+	if db.Tree.NumPages() < 2 || db.DeweyIdx.Height() < 2 {
+		t.Fatalf("tree spans %d pages, dewey index %d levels: want several pages each", db.Tree.NumPages(), db.DeweyIdx.Height())
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +240,7 @@ func TestCrashDuringLoadSweep(t *testing.T) {
 			dir := t.TempDir() + "/db"
 			ffs := faultfs.New(vfs.OS)
 			ffs.FailAt(i, faultfs.ErrOp)
-			db, err := LoadXML(dir, strings.NewReader(crashDoc), &Options{FS: ffs})
+			db, err := LoadXML(dir, strings.NewReader(doc.String()), &Options{FS: ffs, PageSize: 256})
 			if err == nil {
 				err = db.Close()
 			}
@@ -207,7 +248,7 @@ func TestCrashDuringLoadSweep(t *testing.T) {
 				t.Fatalf("fault at op %d never fired (load err: %v)", i, err)
 			}
 
-			re, openErr := Open(dir, nil)
+			re, openErr := reopenCommitted(t, dir)
 			if openErr != nil {
 				if !errors.Is(openErr, ErrNoManifest) {
 					t.Fatalf("reopen after load crash at op %d: %v, want ErrNoManifest", i, openErr)
@@ -246,7 +287,7 @@ func TestCrashRecoveryReporting(t *testing.T) {
 		t.Fatal("workload survived an armed fault")
 	}
 
-	re, err := Open(dir, nil)
+	re, err := reopenCommitted(t, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,9 @@
 //	tagidx.pg    B+ tree: tag symbol ‖ Dewey → node position
 //	validx.pg    B+ tree: hash(value) ‖ Dewey → node position
 //	deweyidx.pg  B+ tree: Dewey → node position ‖ value offset
-//	stats.dat    per-tag node counts for the index-choice heuristic (§6.2)
+//	synopsis.bin statistics synopsis (internal/stats): the per-tag node
+//	             counts of the index-choice heuristic (§6.2) and the
+//	             planner's path summary and value sketch
 //
 // Both multi-valued indexes put the Dewey ID *in the key*: dewey byte
 // encodings compare in document order, so a prefix scan yields entries in
@@ -118,8 +120,8 @@ type DB struct {
 	// (Failures before the commit point abort cleanly and do not set it.)
 	broken bool
 
-	// wmu serializes mutations (InsertFragment, DeleteSubtree,
-	// RefreshSynopsis) and Close against each other. Readers never take it.
+	// wmu serializes mutations (InsertFragment, DeleteSubtree) and Close
+	// against each other. Readers never take it.
 	wmu sync.Mutex
 
 	// curv is the atomically published current snapshot; Acquire loads it
@@ -141,7 +143,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &Snapshot{epoch: m.Epoch, tagCount: make(map[symtab.Sym]uint64)}
+	v := &Snapshot{epoch: m.Epoch}
 	db := &DB{Snapshot: v, dir: dir, fsys: o.FS, manifest: m, recovery: info}
 	v.db = db
 	ok := false
@@ -210,12 +212,9 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if v.PathIdx, err = btree.Open(v.pathIdxFile); err != nil {
 		return nil, err
 	}
-	if v.tagCount, v.total, err = loadStatsFile(o.FS, db.path(roleStats)); err != nil {
+	if v.syn, err = db.loadSynopsis(); err != nil {
 		return nil, err
 	}
-	// Best-effort: a missing, stale or corrupt synopsis never blocks the
-	// open — the planner falls back to the §6.2 heuristic.
-	db.loadSynopsis()
 	v.publish()
 	ok = true
 	return db, nil
@@ -281,7 +280,7 @@ func (db *Snapshot) TagCount(name string) uint64 {
 	if !ok {
 		return 0
 	}
-	return db.tagCount[sym]
+	return db.syn.TagCount(sym)
 }
 
 // ---- key encodings ----------------------------------------------------------
@@ -333,7 +332,10 @@ func (db *Snapshot) NodeAt(id dewey.ID) (pos stree.Pos, valOff uint64, ok bool, 
 
 // nodeAtCounted is NodeAt attributing the Dewey-index descent to nc.
 func (db *Snapshot) nodeAtCounted(id dewey.ID, nc *stree.NavCounters) (pos stree.Pos, valOff uint64, ok bool, err error) {
-	v, found, err := db.DeweyIdx.GetCounted(id.Bytes(), btPages(nc))
+	if nc != nil {
+		nc.Examined += uint64(db.DeweyIdx.Height())
+	}
+	v, found, err := db.DeweyIdx.Get(id.Bytes())
 	if err != nil || !found {
 		return stree.Pos{}, 0, false, err
 	}
@@ -364,47 +366,6 @@ func (db *Snapshot) nodeValueCounted(id dewey.ID, nc *stree.NavCounters) (string
 		return "", false, err
 	}
 	return string(v), true, nil
-}
-
-// ---- statistics -------------------------------------------------------------
-
-// saveStatsFile writes a statistics file atomically (tmp + fsync + rename
-// + directory fsync) at the given path.
-func saveStatsFile(fsys vfs.FS, path string, tags *symtab.Table, tagCount map[symtab.Sym]uint64, total uint64) error {
-	buf := make([]byte, 0, 16+len(tagCount)*10)
-	var tmp [10]byte
-	binary.BigEndian.PutUint64(tmp[:8], total)
-	buf = append(buf, tmp[:8]...)
-	binary.BigEndian.PutUint32(tmp[:4], uint32(len(tagCount)))
-	buf = append(buf, tmp[:4]...)
-	for sym := symtab.Sym(1); int(sym) <= tags.Len(); sym++ {
-		binary.BigEndian.PutUint16(tmp[:2], uint16(sym))
-		binary.BigEndian.PutUint64(tmp[2:10], tagCount[sym])
-		buf = append(buf, tmp[:10]...)
-	}
-	return vfs.WriteFileAtomic(fsys, path, buf, 0o644)
-}
-
-func loadStatsFile(fsys vfs.FS, path string) (map[symtab.Sym]uint64, uint64, error) {
-	raw, err := vfs.ReadFile(fsys, path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: loading stats: %w", err)
-	}
-	if len(raw) < 12 {
-		return nil, 0, errors.New("core: truncated stats file")
-	}
-	total := binary.BigEndian.Uint64(raw[:8])
-	n := int(binary.BigEndian.Uint32(raw[8:12]))
-	raw = raw[12:]
-	if len(raw) < n*10 {
-		return nil, 0, errors.New("core: truncated stats entries")
-	}
-	tagCount := make(map[symtab.Sym]uint64, n)
-	for i := 0; i < n; i++ {
-		sym := symtab.Sym(binary.BigEndian.Uint16(raw[i*10:]))
-		tagCount[sym] = binary.BigEndian.Uint64(raw[i*10+2:])
-	}
-	return tagCount, total, nil
 }
 
 // IndexSizes reports the on-disk size in bytes of the string tree and the

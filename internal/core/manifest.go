@@ -20,8 +20,8 @@ package core
 //     trailers of the *referenced* pages plus the sidecar checksum.
 //   - values.dat is append-only; rolling back means truncating to the
 //     length the manifest records.
-//   - The four B+ tree indexes, the symbol table, the statistics file and
-//     the treemap sidecar are written fresh per epoch (e.g.
+//   - The four B+ tree indexes, the symbol table, the statistics synopsis
+//     and the treemap sidecar are written fresh per epoch (e.g.
 //     tagidx-0000002a.pg) and switched over by the manifest replace; the
 //     previous epoch's files are deleted once no pinned snapshot can
 //     still need them (or by recovery, whichever runs first).
@@ -68,19 +68,18 @@ const (
 	// shadow-paging sidecar, one per epoch).
 	roleTreeMap = "treemap"
 	roleTags    = "tags"
-	roleStats   = "stats"
 	roleTagIdx  = "tagidx"
 	roleValIdx  = "validx"
 	roleDewIdx  = "deweyidx"
 	rolePathIdx = "pathidx"
-	// roleSynopsis is the planner's statistics synopsis (internal/stats).
-	// Deliberately NOT in allRoles: the synopsis is auxiliary, and a store
-	// whose synopsis file is missing or damaged must still open and query
-	// (via the heuristic fallback). Recovery treats it leniently.
+	// roleSynopsis is the store's statistics synopsis (internal/stats).
+	// Deliberately NOT in allRoles: it is derived data, so a store whose
+	// synopsis file is missing or damaged still opens (Open rebuilds it
+	// from the tree). Recovery treats it leniently.
 	roleSynopsis = "synopsis"
 )
 
-var allRoles = []string{roleTree, roleValues, roleTreeMap, roleTags, roleStats, roleTagIdx, roleValIdx, roleDewIdx, rolePathIdx}
+var allRoles = []string{roleTree, roleValues, roleTreeMap, roleTags, roleTagIdx, roleValIdx, roleDewIdx, rolePathIdx}
 
 // Typed open/recovery errors. All are wrapped with file detail; test with
 // errors.Is.
@@ -138,8 +137,6 @@ func epochFileName(role string, epoch uint64) string {
 	switch role {
 	case roleTags:
 		ext = ".sym"
-	case roleStats:
-		ext = ".dat"
 	case roleSynopsis:
 		ext = ".bin"
 	case roleTreeMap:
@@ -149,6 +146,9 @@ func epochFileName(role string, epoch uint64) string {
 }
 
 // epochFilePat matches any epoch-named store file (for orphan sweeping).
+// "stats-*.dat" is the per-tag count file of stores written before the
+// synopsis became the only statistics; the first commit supersedes it,
+// and an orphaned one is swept like any other.
 var epochFilePat = regexp.MustCompile(`^(tags|stats|synopsis|tagidx|validx|deweyidx|pathidx|treemap)-[0-9a-f]{8}\.(sym|dat|bin|pg|vt)$`)
 
 // readManifest loads and validates the manifest of dir.
@@ -293,10 +293,10 @@ func recoverStore(fsys vfs.FS, dir string) (*Manifest, RecoveryInfo, error) {
 		}
 	}
 
-	// The synopsis is auxiliary (the planner falls back to the heuristic
-	// without it): a missing or shortened synopsis file drops the role from
-	// the in-memory manifest view instead of failing the open; an
-	// over-length one is truncated back like any other committed file.
+	// The synopsis is derived data (Open rebuilds it from the tree): a
+	// missing or shortened synopsis file drops the role from the in-memory
+	// manifest view instead of failing the open; an over-length one is
+	// truncated back like any other committed file.
 	if rec, ok := m.Files[roleSynopsis]; ok {
 		path := filepath.Join(dir, rec.Name)
 		fi, err := fsys.Stat(path)

@@ -84,7 +84,7 @@ func (db *Snapshot) startsByPath(anchor *pattern.Node, chainTests []string, nc *
 	depth := len(chainTests) + 1
 	var out []Match
 	var scanErr error
-	err := db.PathIdx.ScanPrefixCounted(prefix[:], func(key, value []byte) bool {
+	err := db.PathIdx.ScanPrefix(prefix[:], func(key, value []byte) bool {
 		id, err := dewey.FromBytes(key[8:])
 		if err != nil || len(id) != depth {
 			return true

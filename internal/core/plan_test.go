@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,10 +9,10 @@ import (
 	"testing"
 
 	"nok/internal/domnav"
+	"nok/internal/obs"
 	"nok/internal/samples"
 	"nok/internal/stats"
 	"nok/internal/symtab"
-	"nok/internal/vfs"
 )
 
 // TestPlannerGolden pins the rendered plans for the bundled bibliography:
@@ -42,11 +43,11 @@ func TestPlannerGolden(t *testing.T) {
 			"  est total: pages=1 rows=0\n",
 	}
 	for expr, want := range goldens {
-		got, err := db.PlanText(expr)
+		p, err := db.Plan(expr)
 		if err != nil {
-			t.Fatalf("PlanText(%q): %v", expr, err)
+			t.Fatalf("Plan(%q): %v", expr, err)
 		}
-		if got != want {
+		if got := p.String(); got != want {
 			t.Errorf("plan for %s drifted:\n got:\n%s want:\n%s", expr, got, want)
 		}
 	}
@@ -137,9 +138,6 @@ func TestPlannerOracleRandom(t *testing.T) {
 		xml := randomXML(rng, 200+rng.Intn(400))
 		db := loadDB(t, xml, smallPages())
 		doc := domnav.MustParse(xml)
-		if !db.SynopsisFresh() {
-			t.Fatal("freshly loaded store lacks a fresh synopsis")
-		}
 		for q := 0; q < 40; q++ {
 			expr := randomQuery(rng)
 			_, stats, err := db.Query(expr, nil)
@@ -162,122 +160,87 @@ func TestPlannerOracleRandom(t *testing.T) {
 	}
 }
 
-// TestPlannerFallbackMissingSynopsis simulates a store from before the
-// synopsis existed: the file is deleted behind the manifest's back. Open
-// must still succeed (recovery drops the auxiliary role), queries must fall
-// back to the heuristic, and RefreshSynopsis must restore planning.
-func TestPlannerFallbackMissingSynopsis(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	db, err := LoadXML(dir, strings.NewReader(samples.Bibliography), smallPages())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "synopsis-*.bin"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("synopsis files on disk: %v (%v)", matches, err)
-	}
-	if err := os.Remove(matches[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err = Open(dir, smallPages())
-	if err != nil {
-		t.Fatalf("Open after losing the synopsis: %v", err)
-	}
-	defer db.Close()
-	if db.Synopsis() != nil {
-		t.Error("synopsis resurrected from nowhere")
-	}
-	p, reason, err := db.Plan(`//book`)
-	if err != nil || p != nil || !strings.Contains(reason, "no statistics synopsis") {
-		t.Errorf("Plan = %v, %q, %v; want nil plan with a missing-synopsis reason", p, reason, err)
-	}
-	got := queryIDs(t, db, samples.PaperQuery, nil)
-	ms, st, err := db.Query(samples.PaperQuery, nil)
-	if err != nil || st.Planned {
-		t.Fatalf("heuristic fallback: err=%v planned=%v", err, st.Planned)
-	}
-	if len(ms) != len(got) || len(got) != 2 {
-		t.Fatalf("fallback results: %v, want both Stevens books", got)
-	}
-
-	if err := db.RefreshSynopsis(); err != nil {
-		t.Fatalf("RefreshSynopsis: %v", err)
-	}
-	if !db.SynopsisFresh() {
-		t.Fatal("refresh did not produce a fresh synopsis")
-	}
-	if _, st, err = db.Query(samples.PaperQuery, nil); err != nil || !st.Planned {
-		t.Fatalf("after refresh: err=%v planned=%v", err, st.Planned)
-	}
-
-	// The refreshed synopsis is committed: it survives a close/reopen.
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db, err = Open(dir, smallPages())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.SynopsisFresh() {
-		t.Error("refreshed synopsis lost across reopen")
-	}
+// synopsisRebuilds reads the counter Open bumps each time it rebuilds a
+// missing or damaged synopsis from the tree.
+func synopsisRebuilds() int64 {
+	return obs.Default.Snapshot().Counters["nok_synopsis_load_errors_total"]
 }
 
-// TestPlannerFallbackStaleSynopsis rewrites the committed synopsis with a
-// wrong epoch: the store must open, report staleness, and keep answering
-// through the heuristic.
-func TestPlannerFallbackStaleSynopsis(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	db, err := LoadXML(dir, strings.NewReader(samples.Bibliography), smallPages())
-	if err != nil {
-		t.Fatal(err)
+// TestOpenRebuildsSynopsis damages the committed synopsis behind the
+// manifest's back: the file is deleted, recommitted claiming another
+// epoch, or recommitted with a wrong node total (pruning and the §6.2
+// heuristic trust the counts). Open must rebuild it exactly once, to the
+// bytes a fresh scan and the bulk load produce, keep planning queries,
+// and let the next commit persist it so a later Open rebuilds nothing.
+func TestOpenRebuildsSynopsis(t *testing.T) {
+	damage := map[string]func(t *testing.T, dir string, syn stats.Synopsis){
+		"missing": func(t *testing.T, dir string, _ stats.Synopsis) {
+			if err := os.Remove(filepath.Join(dir, epochFileName(roleSynopsis, 1))); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"stale": func(t *testing.T, dir string, syn stats.Synopsis) {
+			syn.Epoch += 7
+			commitFile(t, dir, roleSynopsis, epochFileName(roleSynopsis, 1), stats.Encode(&syn))
+		},
+		"miscounted": func(t *testing.T, dir string, syn stats.Synopsis) {
+			syn.TotalNodes += 3
+			commitFile(t, dir, roleSynopsis, epochFileName(roleSynopsis, 1), stats.Encode(&syn))
+		},
 	}
-	syn := db.Synopsis()
-	storeEpoch := db.Epoch()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for name, corrupt := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			db, err := LoadXML(dir, strings.NewReader(samples.Bibliography), smallPages())
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := stats.Encode(db.Synopsis())
+			corrupt(t, dir, *db.Synopsis())
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Re-encode the synopsis claiming another epoch and recommit it, the
-	// way a partially-failed refresh could leave it.
-	syn.Epoch = storeEpoch + 7
-	fsys := vfs.OS
-	m, err := readManifest(fsys, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := m.Files[roleSynopsis].Name
-	if err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, name), stats.Encode(syn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := record(fsys, dir, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Files[roleSynopsis] = rec
-	if err := writeManifest(fsys, dir, m); err != nil {
-		t.Fatal(err)
-	}
+			before := synopsisRebuilds()
+			db, err = Open(dir, smallPages())
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer db.Close()
+			if got := synopsisRebuilds() - before; got != 1 {
+				t.Errorf("Open rebuilt the synopsis %d times, want 1", got)
+			}
+			scanned, err := db.scanSynopsis()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := stats.Encode(db.Synopsis())
+			if !bytes.Equal(got, stats.Encode(scanned)) || !bytes.Equal(got, loaded) {
+				t.Errorf("rebuilt synopsis %+v differs from a fresh scan %+v or the bulk load's", db.Synopsis(), scanned)
+			}
+			for expr, want := range map[string]int{`//book`: 4, samples.PaperQuery: 2} {
+				if ms, st, err := db.Query(expr, nil); err != nil || !st.Planned || len(ms) != want {
+					t.Errorf("Query(%q) after rebuild: err=%v planned=%v results=%d, want %d",
+						expr, err, st != nil && st.Planned, len(ms), want)
+				}
+			}
 
-	db, err = Open(dir, smallPages())
-	if err != nil {
-		t.Fatalf("Open with stale synopsis: %v", err)
-	}
-	defer db.Close()
-	if db.Synopsis() == nil || db.SynopsisFresh() {
-		t.Fatalf("synopsis = %v, fresh = %v; want loaded but stale", db.Synopsis(), db.SynopsisFresh())
-	}
-	p, reason, err := db.Plan(`//book`)
-	if err != nil || p != nil || !strings.Contains(reason, "stale") {
-		t.Errorf("Plan = %v, %q, %v; want nil plan with a staleness reason", p, reason, err)
-	}
-	ms, st, err := db.Query(samples.PaperQuery, nil)
-	if err != nil || st.Planned || len(ms) != 2 {
-		t.Fatalf("stale fallback: err=%v planned=%v results=%d", err, st.Planned, len(ms))
+			if err := db.InsertFragment(mustID(t, "0"), strings.NewReader(`<book><title>After</title></book>`)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before = synopsisRebuilds()
+			db, err = Open(dir, smallPages())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if got := synopsisRebuilds() - before; got != 0 {
+				t.Errorf("reopen after a commit rebuilt the synopsis %d times, want 0", got)
+			}
+		})
 	}
 }
 
@@ -294,7 +257,7 @@ func TestSynopsisAcrossUpdates(t *testing.T) {
 		`<book year="2024"><title>Planner Book</title><author><last>Doe</last><first>J.</first></author><price>10</price></book>`)); err != nil {
 		t.Fatalf("InsertFragment: %v", err)
 	}
-	if !db.SynopsisFresh() {
+	if db.Synopsis().Epoch != db.Epoch() {
 		t.Fatalf("synopsis stale after insert: synopsis epoch %d, store %d", db.Synopsis().Epoch, db.Epoch())
 	}
 	ms, st, err := db.Query(`//book[author]`, nil)
@@ -311,7 +274,7 @@ func TestSynopsisAcrossUpdates(t *testing.T) {
 	if err := db.DeleteSubtree(ms[len(ms)-1].ID); err != nil {
 		t.Fatalf("DeleteSubtree: %v", err)
 	}
-	if !db.SynopsisFresh() {
+	if db.Synopsis().Epoch != db.Epoch() {
 		t.Fatal("synopsis stale after delete")
 	}
 	if _, st, err = db.Query(`//book[author]`, nil); err != nil || !st.Planned {

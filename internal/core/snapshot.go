@@ -4,11 +4,11 @@ package core
 //
 // A Snapshot is one committed epoch of the store, immutable for its whole
 // lifetime: the string tree pinned to a copy-on-write page-table version
-// (internal/pager), the epoch's symbol table, statistics and B+ tree index
-// files, and the shared append-only value store. Every query evaluates
-// against exactly one Snapshot, so writers never block readers — a commit
-// builds the next Snapshot off to the side and publishes it with one
-// atomic pointer swap.
+// (internal/pager), the epoch's symbol table, statistics synopsis and B+
+// tree index files, and the shared append-only value store. Every query
+// evaluates against exactly one Snapshot, so writers never block readers —
+// a commit builds the next Snapshot off to the side and publishes it with
+// one atomic pointer swap.
 //
 // Lifetime is reference-counted. A live Snapshot starts with one reference
 // held by the DB for being "current"; Acquire adds one per in-flight
@@ -72,15 +72,10 @@ type Snapshot struct {
 
 	tagIdxFile, valIdxFile, dewIdxFile, pathIdxFile *pager.File
 
-	// tagCount[sym] is the number of nodes with that tag — the §6.2
-	// selectivity statistic.
-	tagCount map[symtab.Sym]uint64
-	total    uint64
-
-	// syn is the statistics synopsis for this epoch (nil when the store
-	// has none). It is atomic because RefreshSynopsis installs a rebuilt
-	// synopsis into the *current* view while readers consult it.
-	syn       atomic.Pointer[stats.Synopsis]
+	// syn is the statistics synopsis at this epoch: the per-tag node
+	// counts behind the §6.2 heuristic and the planner's cost model. It is
+	// set before the view is published and never changes afterwards.
+	syn       *stats.Synopsis
 	planMu    sync.Mutex
 	planCache map[string]*planner.Plan
 

@@ -18,11 +18,11 @@ import (
 type Strategy uint8
 
 const (
-	// StrategyAuto asks the cost-based planner when a fresh statistics
-	// synopsis exists, otherwise applies the paper's heuristic: use the
-	// value index when an (equality) value constraint exists, otherwise the
-	// tag-name index when the most selective tag is selective enough,
-	// otherwise scan.
+	// StrategyAuto asks the cost-based planner. The paper's heuristic —
+	// use the value index when an (equality) value constraint exists,
+	// otherwise the tag-name index when the most selective tag is
+	// selective enough, otherwise scan — runs instead when the planner is
+	// disabled (QueryOptions.DisablePlanner).
 	StrategyAuto Strategy = iota
 	// StrategyScan traverses the whole subject tree in document order.
 	StrategyScan
@@ -128,7 +128,7 @@ func (db *Snapshot) startsAuto(nt *pattern.NoKTree, nc *stree.NavCounters) ([]Ma
 		return ms, StrategyValueIndex, err
 	}
 	node, count, ok := db.mostSelectiveTag(nt)
-	if ok && count <= db.total/scanThresholdDiv {
+	if ok && count <= db.syn.TotalNodes/scanThresholdDiv {
 		ms, err := db.startsFromTagNode(nt, node, nc)
 		return ms, StrategyTagIndex, err
 	}
@@ -160,8 +160,8 @@ func (db *Snapshot) startsByScan(nt *pattern.NoKTree, nc *stree.NavCounters) ([]
 }
 
 // mostSelectiveTag picks the NoK-tree node with a concrete tag whose
-// document-wide node count is smallest (free lookup in the load-time
-// statistics).
+// document-wide node count is smallest (free lookup in the synopsis tag
+// counts).
 func (db *Snapshot) mostSelectiveTag(nt *pattern.NoKTree) (depthNode, uint64, bool) {
 	best := depthNode{}
 	var bestCount uint64
@@ -170,7 +170,7 @@ func (db *Snapshot) mostSelectiveTag(nt *pattern.NoKTree) (depthNode, uint64, bo
 	rec = func(n *pattern.Node, d int) {
 		if !n.IsVirtualRoot() && n.Test != "*" {
 			if sym, ok := db.Tags.Lookup(n.Test); ok {
-				if c := db.tagCount[sym]; !found || c < bestCount {
+				if c := db.syn.TagCount(sym); !found || c < bestCount {
 					best = depthNode{node: n, depth: d, sym: sym}
 					bestCount = c
 					found = true
@@ -228,7 +228,7 @@ func (db *Snapshot) startsFromTagNode(nt *pattern.NoKTree, dn depthNode, nc *str
 	binary.BigEndian.PutUint16(prefix[:], uint16(dn.sym))
 	var out []Match
 	var lastAncestor []byte
-	err := db.TagIdx.ScanPrefixCounted(prefix[:], func(key, value []byte) bool {
+	err := db.TagIdx.ScanPrefix(prefix[:], func(key, value []byte) bool {
 		id, err := dewey.FromBytes(key[2:])
 		if err != nil || len(id) < dn.depth+1 {
 			return true
@@ -277,7 +277,7 @@ func (db *Snapshot) countValueEntries(literal string) int {
 	_ = db.ValIdx.ScanPrefix(prefix[:], func(_, _ []byte) bool {
 		n++
 		return n < selectivityCountCutoff
-	})
+	}, nil)
 	return n
 }
 
@@ -290,7 +290,7 @@ func (db *Snapshot) startsFromValueNode(nt *pattern.NoKTree, vn pattern.ValueNod
 	var out []Match
 	var lastAncestor []byte
 	var scanErr error
-	err := db.ValIdx.ScanPrefixCounted(prefix[:], func(key, value []byte) bool {
+	err := db.ValIdx.ScanPrefix(prefix[:], func(key, value []byte) bool {
 		id, err := dewey.FromBytes(key[8:])
 		if err != nil || len(id) < vn.Depth+1 {
 			return true

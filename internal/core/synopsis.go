@@ -2,9 +2,9 @@ package core
 
 // synopsis.go — the DB side of the statistics synopsis (internal/stats)
 // and the cost-based planner (internal/planner): loading the committed
-// synopsis, rebuilding it on demand for stores that predate it, the plan
-// cache, and the Access→Strategy mapping the evaluator uses to execute a
-// plan.
+// synopsis (rebuilding it from the tree when its file was lost or
+// damaged), the plan cache, and the Access→Strategy mapping the evaluator
+// uses to execute a plan.
 
 import (
 	"fmt"
@@ -25,159 +25,35 @@ import (
 
 // Planner/synopsis counters, exposed through the default obs registry.
 var (
-	mSynopsisLoadErrs = obs.Default.Counter("nok_synopsis_load_errors_total", "synopsis files that failed to load (corrupt or unreadable)")
+	mSynopsisLoadErrs = obs.Default.Counter("nok_synopsis_load_errors_total", "synopsis files missing, corrupt or inconsistent at open, rebuilt from the tree")
 	mPlanCacheHits    = obs.Default.Counter("nok_plan_cache_hits_total", "query plans served from the per-store plan cache")
 	mPlanCacheMisses  = obs.Default.Counter("nok_plan_cache_misses_total", "query plans built by the cost-based planner")
-	mPlanFallbacks    = obs.Default.Counter("nok_plan_fallbacks_total", "auto-strategy queries evaluated by the heuristic because no fresh synopsis existed")
 )
 
-// loadSynopsis reads the committed synopsis, if any. Failures are recorded
-// but never propagated: the planner simply stays unavailable.
-func (db *DB) loadSynopsis() {
-	rec, ok := db.manifest.Files[roleSynopsis]
-	if !ok {
-		return
+// loadSynopsis reads the committed synopsis of the snapshot Open is
+// building. A synopsis file that is missing, does not decode, belongs to
+// another epoch or counts a different number of nodes than the tree was
+// lost or damaged outside the program: it is rebuilt from the tree with
+// one scan (counted in nok_synopsis_load_errors_total), and the next
+// commit persists the rebuilt one. Pruning and the §6.2 heuristic trust
+// the synopsis counts, so a wrong one must never be installed.
+func (db *DB) loadSynopsis() (*stats.Synopsis, error) {
+	if rec, ok := db.manifest.Files[roleSynopsis]; ok {
+		raw, err := vfs.ReadFile(db.fsys, filepath.Join(db.dir, rec.Name))
+		if err == nil {
+			syn, err := stats.Decode(raw)
+			if err == nil && syn.Epoch == db.epoch && syn.TotalNodes == db.Tree.NodeCount() {
+				return syn, nil
+			}
+		}
 	}
-	raw, err := vfs.ReadFile(db.fsys, filepath.Join(db.dir, rec.Name))
-	if err != nil {
-		mSynopsisLoadErrs.Inc()
-		return
-	}
-	syn, err := stats.Decode(raw)
-	if err != nil {
-		mSynopsisLoadErrs.Inc()
-		return
-	}
-	db.syn.Store(syn)
+	mSynopsisLoadErrs.Inc()
+	return db.scanSynopsis()
 }
 
-// Synopsis returns the loaded statistics synopsis (nil when absent). It
-// may be stale; see SynopsisFresh.
-func (db *Snapshot) Synopsis() *stats.Synopsis { return db.syn.Load() }
-
-// SynopsisFresh reports whether a synopsis exists at the snapshot's
-// epoch — the condition under which StrategyAuto consults the planner.
-func (db *Snapshot) SynopsisFresh() bool {
-	syn := db.syn.Load()
-	return syn != nil && syn.Epoch == db.epoch
-}
-
-// shape derives the planner's physical cost parameters from the open
-// store: the string tree's page count, the Dewey index's height as the
-// typical B+-tree descent cost, and a leaf fan-out estimated from the
-// index page size (entries average ~32 bytes: a Dewey key plus a 14-byte
-// payload and slot overhead).
-func (db *Snapshot) shape() planner.Shape {
-	return planner.Shape{
-		TreePages:   float64(db.Tree.NumPages()),
-		IndexHeight: float64(db.DeweyIdx.Height()),
-		LeafFanout:  float64(db.dewIdxFile.PageSize()) / 32,
-	}
-}
-
-// planFor returns the cost-based plan for a parsed query, or nil when the
-// planner cannot run (no synopsis, or one from another epoch). Plans are
-// cached per canonical expression and invalidated on epoch change.
-func (db *Snapshot) planFor(t *pattern.Tree, parts []*pattern.NoKTree, anchor *pattern.Node, chain []string) *planner.Plan {
-	syn := db.syn.Load()
-	if syn == nil || syn.Epoch != db.epoch {
-		mPlanFallbacks.Inc()
-		return nil
-	}
-	key := t.String()
-	db.planMu.Lock()
-	if p, ok := db.planCache[key]; ok && p.Epoch == db.epoch {
-		db.planMu.Unlock()
-		mPlanCacheHits.Inc()
-		return p
-	}
-	db.planMu.Unlock()
-	mPlanCacheMisses.Inc()
-	p := planner.Build(planner.Input{
-		Expr:   t.Source,
-		Tree:   t,
-		Parts:  parts,
-		Anchor: anchor,
-		Chain:  chain,
-	}, syn, db.Tags, db.shape())
-	db.planMu.Lock()
-	if db.planCache == nil {
-		db.planCache = make(map[string]*planner.Plan)
-	}
-	db.planCache[key] = p
-	db.planMu.Unlock()
-	return p
-}
-
-// invalidatePlans empties the plan cache (after every committed epoch
-// change or synopsis refresh).
-func (db *Snapshot) invalidatePlans() {
-	db.planMu.Lock()
-	db.planCache = nil
-	db.planMu.Unlock()
-}
-
-// strategyForAccess maps a planned access path to the evaluator strategy
-// that executes it.
-func strategyForAccess(a planner.Access) Strategy {
-	switch a {
-	case planner.AccessTagIndex:
-		return StrategyTagIndex
-	case planner.AccessValueIndex:
-		return StrategyValueIndex
-	case planner.AccessPathIndex:
-		return StrategyPathIndex
-	default:
-		return StrategyScan
-	}
-}
-
-// Plan builds (or fetches from cache) the cost-based plan for expr without
-// executing it. When the planner cannot run, the plan is nil and reason
-// says why.
-func (db *Snapshot) Plan(expr string) (*planner.Plan, string, error) {
-	t, err := pattern.Parse(expr)
-	if err != nil {
-		return nil, "", err
-	}
-	syn := db.syn.Load()
-	if syn == nil {
-		return nil, "no statistics synopsis (store predates it; refresh statistics to enable the planner)", nil
-	}
-	if syn.Epoch != db.epoch {
-		return nil, fmt.Sprintf("synopsis is stale (built at epoch %d, store is at %d); refresh statistics", syn.Epoch, db.epoch), nil
-	}
-	parts := pattern.Partition(t)
-	anchor, chain := topAnchor(parts[0], t)
-	return db.planFor(t, parts, anchor, chain), "", nil
-}
-
-// PlanText renders the plan for expr, or the fallback explanation when the
-// planner is unavailable.
-func (db *Snapshot) PlanText(expr string) (string, error) {
-	p, reason, err := db.Plan(expr)
-	if err != nil {
-		return "", err
-	}
-	if p == nil {
-		return fmt.Sprintf("plan %s\n  planner unavailable: %s\n  auto strategy falls back to the paper's §6.2 heuristic\n", expr, reason), nil
-	}
-	return p.String(), nil
-}
-
-// RefreshSynopsis rebuilds the statistics synopsis from the committed
-// store state and commits it into the manifest at the current epoch —
-// the upgrade path for stores that predate the synopsis and the repair
-// path after one went stale or was lost.
-func (db *DB) RefreshSynopsis() error {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if db.broken {
-		return ErrNeedsRecovery
-	}
+// scanSynopsis builds the snapshot's synopsis from a full scan of its tree
+// and value store — the same statistics a bulk load collects.
+func (db *Snapshot) scanSynopsis() (*stats.Synopsis, error) {
 	sb := stats.NewBuilder()
 	var scanErr error
 	err := db.Tree.Scan(func(pos stree.Pos, sym symtab.Sym, level int, id dewey.ID) bool {
@@ -201,40 +77,81 @@ func (db *DB) RefreshSynopsis() error {
 		err = scanErr
 	}
 	if err != nil {
-		return fmt.Errorf("core: rebuilding synopsis: %w", err)
+		return nil, fmt.Errorf("core: rebuilding synopsis: %w", err)
 	}
-	syn := sb.Finish(db.epoch, uint64(db.Tree.NumPages()))
+	return sb.Finish(db.epoch, uint64(db.Tree.NumPages())), nil
+}
 
-	name := epochFileName(roleSynopsis, db.epoch)
-	if err := vfs.WriteFileAtomic(db.fsys, filepath.Join(db.dir, name), stats.Encode(syn), 0o644); err != nil {
-		return err
+// Synopsis returns the snapshot's statistics synopsis, built at its epoch.
+func (db *Snapshot) Synopsis() *stats.Synopsis { return db.syn }
+
+// shape derives the planner's physical cost parameters from the open
+// store: the string tree's page count, the Dewey index's height as the
+// typical B+-tree descent cost, and a leaf fan-out estimated from the
+// index page size (entries average ~32 bytes: a Dewey key plus a 14-byte
+// payload and slot overhead).
+func (db *Snapshot) shape() planner.Shape {
+	return planner.Shape{
+		TreePages:   float64(db.Tree.NumPages()),
+		IndexHeight: float64(db.DeweyIdx.Height()),
+		LeafFanout:  float64(db.dewIdxFile.PageSize()) / 32,
 	}
-	rec, err := record(db.fsys, db.dir, name)
+}
+
+// planFor returns the cost-based plan for a parsed query. Plans are
+// cached per canonical expression; the cache lives on the snapshot, so a
+// cached plan always belongs to the snapshot's epoch.
+func (db *Snapshot) planFor(t *pattern.Tree, parts []*pattern.NoKTree, anchor *pattern.Node, chain []string) *planner.Plan {
+	key := t.String()
+	db.planMu.Lock()
+	if p, ok := db.planCache[key]; ok {
+		db.planMu.Unlock()
+		mPlanCacheHits.Inc()
+		return p
+	}
+	db.planMu.Unlock()
+	mPlanCacheMisses.Inc()
+	p := planner.Build(planner.Input{
+		Expr:   t.Source,
+		Tree:   t,
+		Parts:  parts,
+		Anchor: anchor,
+		Chain:  chain,
+	}, db.syn, db.Tags, db.shape())
+	db.planMu.Lock()
+	if db.planCache == nil {
+		db.planCache = make(map[string]*planner.Plan)
+	}
+	db.planCache[key] = p
+	db.planMu.Unlock()
+	return p
+}
+
+// strategyForAccess maps a planned access path to the evaluator strategy
+// that executes it.
+func strategyForAccess(a planner.Access) Strategy {
+	switch a {
+	case planner.AccessTagIndex:
+		return StrategyTagIndex
+	case planner.AccessValueIndex:
+		return StrategyValueIndex
+	case planner.AccessPathIndex:
+		return StrategyPathIndex
+	default:
+		return StrategyScan
+	}
+}
+
+// Plan builds (or fetches from cache) the cost-based plan for expr without
+// executing it.
+func (db *Snapshot) Plan(expr string) (*planner.Plan, error) {
+	t, err := pattern.Parse(expr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Re-commit the manifest at the same epoch with the synopsis role
-	// added. A crash before the manifest write leaves an orphan the next
-	// open sweeps; after it, the synopsis is committed.
-	m := &Manifest{Format: FormatVersion, Epoch: db.epoch, Files: make(map[string]FileRecord, len(db.manifest.Files)+1)}
-	for role, r := range db.manifest.Files {
-		m.Files[role] = r
-	}
-	old, hadOld := m.Files[roleSynopsis]
-	m.Files[roleSynopsis] = rec
-	if err := writeManifest(db.fsys, db.dir, m); err != nil {
-		return err
-	}
-	if hadOld && old.Name != name {
-		_ = db.fsys.Remove(filepath.Join(db.dir, old.Name))
-	}
-	db.manifest = m
-	// Install into the *current* snapshot: the synopsis is advisory (it
-	// only steers planning), so mutating the live view is safe — the
-	// pointer is atomic and plans are re-derived under planMu.
-	db.syn.Store(syn)
-	db.invalidatePlans()
-	return nil
+	parts := pattern.Partition(t)
+	anchor, chain := topAnchor(parts[0], t)
+	return db.planFor(t, parts, anchor, chain), nil
 }
 
 // TagCountInfo is one row of a synopsis dump.
@@ -251,10 +168,8 @@ type PathCountInfo struct {
 
 // SynopsisInfo is the human-facing summary nokstat -stats prints.
 type SynopsisInfo struct {
-	Present    bool
-	Stale      bool
-	Epoch      uint64 // synopsis epoch (0 when absent)
-	StoreEpoch uint64
+	Present    bool   // false only when a remote shard reported none
+	Epoch      uint64 // synopsis epoch, the store epoch (0 when absent)
 	TotalNodes uint64
 	ValueNodes uint64
 	TreePages  uint64
@@ -269,14 +184,8 @@ type SynopsisInfo struct {
 // SynopsisInfo summarizes the loaded synopsis with the top-n tags and
 // paths by cardinality.
 func (db *Snapshot) SynopsisInfo(n int) SynopsisInfo {
-	out := SynopsisInfo{StoreEpoch: db.epoch}
-	syn := db.syn.Load()
-	if syn == nil {
-		return out
-	}
-	out.Present = true
-	out.Stale = syn.Epoch != db.epoch
-	out.Epoch = syn.Epoch
+	syn := db.syn
+	out := SynopsisInfo{Present: true, Epoch: syn.Epoch}
 	out.TotalNodes = syn.TotalNodes
 	out.ValueNodes = syn.ValueNodes
 	out.TreePages = syn.TreePages

@@ -48,7 +48,7 @@ func TestTelemetryCapture(t *testing.T) {
 		t.Errorf("Epoch = %d, want %d", rec.Epoch, db.Epoch())
 	}
 	if !rec.Planned {
-		t.Fatal("record not marked planned despite a fresh synopsis")
+		t.Fatal("auto-strategy query record not marked planned")
 	}
 	if rec.QError < 1 {
 		t.Errorf("QError = %g, want >= 1", rec.QError)

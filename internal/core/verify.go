@@ -137,7 +137,7 @@ func (db *DB) verifyManifest(deep bool, emit func(string, error)) {
 }
 
 // verifyCounts checks the cheap cross-component invariants: every index
-// and the statistics file describe the same number of nodes.
+// and the statistics synopsis describe the same number of nodes.
 func (db *DB) verifyCounts(emit func(string, error)) {
 	nodes := db.Tree.NodeCount()
 	for _, idx := range []struct {
@@ -157,12 +157,12 @@ func (db *DB) verifyCounts(emit func(string, error)) {
 	if c := db.ValIdx.Count(); c > nodes {
 		emit("cross", fmt.Errorf("validx holds %d keys, more than the %d nodes", c, nodes))
 	}
-	if db.total != nodes {
-		emit("stats", fmt.Errorf("stats total %d, tree holds %d nodes", db.total, nodes))
+	if db.syn.TotalNodes != nodes {
+		emit("stats", fmt.Errorf("synopsis total %d, tree holds %d nodes", db.syn.TotalNodes, nodes))
 	}
 	var sum uint64
-	for _, c := range db.tagCount {
-		sum += c
+	for _, t := range db.syn.Tags {
+		sum += t.Count
 	}
 	if sum != nodes {
 		emit("stats", fmt.Errorf("per-tag counts sum to %d, tree holds %d nodes", sum, nodes))

@@ -11,6 +11,7 @@ import (
 	"nok/internal/core"
 	"nok/internal/dewey"
 	"nok/internal/faultfs"
+	"nok/internal/obs"
 	"nok/internal/vfs"
 )
 
@@ -33,10 +34,19 @@ func (t coreTarget) InsertBatch(parentID string, frags [][]byte) error {
 
 func (t coreTarget) Epoch() uint64 { return t.db.Epoch() }
 
+// synopsisRebuilds reads the counter core.Open bumps each time it rebuilds
+// a missing or damaged synopsis from the tree.
+func synopsisRebuilds() int64 {
+	return obs.Default.Snapshot().Counters["nok_synopsis_load_errors_total"]
+}
+
 const ingestCrashDoc = `<col><doc n="seed"><v>0</v></doc></col>`
 
-// ingestCrashWorkload opens the store through fsys and streams two
-// deterministic 3-document batches through a pipeline (BatchDocs 4 and a
+// crashBatches is the number of group commits the crash workload makes.
+const crashBatches = 3
+
+// ingestCrashWorkload opens the store through fsys and streams
+// crashBatches deterministic 3-document batches through a pipeline (BatchDocs 4 and a
 // huge interval mean only the Flush barriers trigger commits, so the
 // file-system op sequence is identical on every run). Any step may fail
 // once a fault is armed; the first error aborts the rest (the process
@@ -48,7 +58,7 @@ func ingestCrashWorkload(dir string, fsys vfs.FS) error {
 	}
 	p := NewPipeline(coreTarget{db}, Options{BatchDocs: 4, BatchInterval: time.Hour})
 	werr := func() error {
-		for batch := 0; batch < 2; batch++ {
+		for batch := 0; batch < crashBatches; batch++ {
 			for i := 0; i < 3; i++ {
 				doc := fmt.Sprintf(`<doc n="c%d"><v>x</v></doc>`, batch*3+i)
 				if err := p.Submit([]byte(doc)); err != nil {
@@ -73,9 +83,9 @@ func ingestCrashWorkload(dir string, fsys vfs.FS) error {
 }
 
 // TestCrashIngestSweep kills the "process" at every mutating file-system
-// operation of a two-batch ingest and requires that recovery always lands
-// on a committed batch boundary: node count and epoch of the base, the
-// post-batch-1, or the post-batch-2 commit, agreeing with each other, with
+// operation of a crashBatches-batch ingest and requires that recovery
+// always lands on a committed batch boundary: node count and epoch of the
+// base or of one batch's commit, agreeing with each other, with
 // a clean deep Verify, no MVCC debris, and — the ingest-specific
 // obligation — a synopsis that matches the recovered store exactly, so the
 // planner is never left with stale statistics after a crash mid-stream.
@@ -84,7 +94,7 @@ func TestCrashIngestSweep(t *testing.T) {
 		t.Skip("sweep re-runs the ingest workload once per fault point")
 	}
 
-	// Probe run: record the three committed states and the op count.
+	// Probe run: record the committed states and the op count.
 	probe := t.TempDir() + "/probe"
 	db, err := core.LoadXML(probe, strings.NewReader(ingestCrashDoc), nil)
 	if err != nil {
@@ -106,17 +116,19 @@ func TestCrashIngestSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2 := db.NodeCount()
-	if got := db.Epoch(); got != baseEpoch+2 {
-		t.Fatalf("probe ended on epoch %d, want %d (exactly two group commits)", got, baseEpoch+2)
+	nEnd := db.NodeCount()
+	if got := db.Epoch(); got != baseEpoch+crashBatches {
+		t.Fatalf("probe ended on epoch %d, want %d (one group commit per batch)", got, baseEpoch+crashBatches)
 	}
-	// Both batches are the same shape, so the mid state is the midpoint.
-	n1 := n0 + (n2-n0)/2
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wantNodes := map[uint64]uint64{baseEpoch: n0, baseEpoch + 1: n1, baseEpoch + 2: n2}
-	t.Logf("sweeping %d fault points × 2 modes (n0=%d n1=%d n2=%d baseEpoch=%d)", total, n0, n1, n2, baseEpoch)
+	// Every batch has the same shape, so each commit adds the same nodes.
+	wantNodes := map[uint64]uint64{}
+	for k := uint64(0); k <= crashBatches; k++ {
+		wantNodes[baseEpoch+k] = n0 + k*(nEnd-n0)/crashBatches
+	}
+	t.Logf("sweeping %d fault points × 2 modes (nodes per epoch %v)", total, wantNodes)
 
 	for _, mode := range []faultfs.Mode{faultfs.ErrOp, faultfs.ShortWrite} {
 		modeName := map[faultfs.Mode]string{faultfs.ErrOp: "errop", faultfs.ShortWrite: "shortwrite"}[mode]
@@ -142,11 +154,17 @@ func TestCrashIngestSweep(t *testing.T) {
 					t.Fatalf("ingest workload survived a crash at op %d", i)
 				}
 
+				// A committed state always has its synopsis: a rebuild at
+				// open would hide a commit protocol bug.
+				rebuilds := synopsisRebuilds()
 				re, err := core.Open(dir, nil)
 				if err != nil {
 					t.Fatalf("reopen after crash at op %d: %v", i, err)
 				}
 				defer re.Close()
+				if got := synopsisRebuilds() - rebuilds; got != 0 {
+					t.Errorf("reopen after crash at op %d rebuilt the synopsis %d times", i, got)
+				}
 				res := re.Verify(true)
 				for _, is := range res.Issues {
 					t.Errorf("verify after crash at op %d: %s", i, is)
@@ -154,7 +172,7 @@ func TestCrashIngestSweep(t *testing.T) {
 				e := re.Epoch()
 				want, ok := wantNodes[e]
 				if !ok {
-					t.Fatalf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+2)
+					t.Fatalf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+crashBatches)
 				}
 				if n := re.NodeCount(); n != want {
 					t.Errorf("epoch %d with node count %d after crash at op %d; want %d — recovery landed between batch boundaries", e, n, i, want)
@@ -162,10 +180,7 @@ func TestCrashIngestSweep(t *testing.T) {
 				// Synopsis and store must agree: the synopsis belongs to the
 				// recovered epoch and describes exactly its nodes.
 				syn := re.Synopsis()
-				if syn == nil {
-					t.Fatalf("no synopsis after crash at op %d", i)
-				}
-				if !re.SynopsisFresh() {
+				if syn.Epoch != e {
 					t.Errorf("stale synopsis (epoch %d) for store epoch %d after crash at op %d", syn.Epoch, e, i)
 				}
 				if syn.TotalNodes != re.NodeCount() {

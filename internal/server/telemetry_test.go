@@ -96,7 +96,7 @@ func TestDebugQueries(t *testing.T) {
 	}
 
 	// Records carry the full diagnostic payload: expression, strategies,
-	// estimates, and (for planned queries on a fresh synopsis) a plan.
+	// estimates, and (for planned queries) a plan.
 	sawPlan := false
 	for _, raw := range dbg.Recent {
 		var rec map[string]any

@@ -21,7 +21,7 @@ const codecMagic = "NOKSY1"
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a synopsis file that fails its checksum or does not
-// parse; callers treat it as "no synopsis" and fall back to the heuristic.
+// parse; the store then rebuilds the synopsis from its tree.
 var ErrCorrupt = errors.New("stats: synopsis corrupt")
 
 // Encode serializes the synopsis.

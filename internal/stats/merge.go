@@ -50,9 +50,6 @@ func (b *Builder) Delta() *Synopsis {
 // retained paths may differ from a rebuild's document-order prefix (both
 // set PathsTruncated, which is what the planner keys on).
 func Merge(prev, delta *Synopsis) *Synopsis {
-	if prev == nil || delta == nil {
-		return nil
-	}
 	values := mergeSketches(prev.Values, delta.Values)
 	if values == nil {
 		return nil

@@ -1,13 +1,15 @@
-// Package stats maintains the persistent statistics synopsis behind the
-// cost-based query planner (internal/planner): per-tag element counts with
-// depth and fan-out summaries, a path summary (distinct root-to-node tag
-// paths with cardinalities, keyed by the same incremental FNV-1a hash the
-// path index uses), and a count-min sketch estimating the selectivity of
-// indexed values. The synopsis is collected in the same pass that builds
-// the store (bulk load, or the index-rebuild scan after an update), so it
-// is always committed at the store's epoch; a synopsis whose epoch differs
-// from the store's is stale and the planner falls back to the §6.2
-// heuristic.
+// Package stats maintains the persistent statistics synopsis, the store's
+// only statistics: it feeds the cost-based query planner
+// (internal/planner), the §6.2 starting-point heuristic and statistics
+// pruning. It holds per-tag element counts with depth and fan-out
+// summaries, a path summary (distinct root-to-node tag paths with
+// cardinalities, keyed by the same incremental FNV-1a hash the path index
+// uses), and a count-min sketch estimating the selectivity of indexed
+// values. The synopsis is collected in the same pass that builds the store
+// (bulk load, or the index-rebuild scan after an update) or merged from a
+// batch insert's delta, so it is always committed at the store's epoch.
+// A store opened with a synopsis that is missing, corrupt or from another
+// epoch rebuilds it from the tree.
 //
 // The design follows Arion et al., "Path Summaries and Path Partitioning
 // in Modern XML Databases" (see PAPERS.md): a path summary small enough to
@@ -81,8 +83,7 @@ type PathStat struct {
 
 // Synopsis is the persistent statistics snapshot of one store epoch.
 type Synopsis struct {
-	// Epoch is the store epoch the synopsis was built at; a mismatch with
-	// the store's committed epoch marks the synopsis stale.
+	// Epoch is the store epoch the synopsis was built at.
 	Epoch uint64
 
 	TotalNodes uint64

@@ -13,7 +13,6 @@
 package symtab
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -110,13 +109,10 @@ func (t *Table) Names() []string {
 	return out
 }
 
-// On-disk format magics. "NKS2" adds a CRC32C of the entry payload to the
-// header, so a torn or bit-flipped table is detected at load instead of
-// silently decoding garbage names; "NKS1" (no checksum) is still readable.
-var (
-	magic   = [4]byte{'N', 'K', 'S', '2'}
-	magicV1 = [4]byte{'N', 'K', 'S', '1'}
-)
+// magic heads the on-disk format, "NKS2": a CRC32C of the entry payload in
+// the header detects a torn or bit-flipped table at load instead of
+// silently decoding garbage names.
+var magic = [4]byte{'N', 'K', 'S', '2'}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -152,55 +148,35 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	return 12 + int64(n), err
 }
 
-// Read deserializes a table previously written with WriteTo. Both the
-// checksummed "NKS2" format and the legacy "NKS1" format are accepted;
-// for "NKS2" the payload checksum is verified (ErrChecksum on mismatch).
+// Read deserializes a table previously written with WriteTo, verifying
+// the payload checksum (ErrChecksum on mismatch).
 func Read(r io.Reader) (*Table, error) {
-	br := bufio.NewReader(r)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("symtab: reading header: %w", err)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("symtab: reading table: %w", err)
 	}
-	var checked io.Reader = br
-	switch [4]byte(hdr[:4]) {
-	case magic:
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return nil, fmt.Errorf("symtab: reading header: %w", err)
-		}
-		body, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("symtab: reading table: %w", err)
-		}
-		if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(crcBuf[:]) {
-			return nil, ErrChecksum
-		}
-		checked = bytes.NewReader(body)
-	case magicV1:
-		// Legacy uncheckedsummed table: decode as-is.
-	default:
-		return nil, fmt.Errorf("symtab: bad magic %q", hdr[:4])
+	if len(raw) < 12 || [4]byte(raw[:4]) != magic {
+		return nil, errors.New("symtab: bad header")
 	}
-	count := binary.BigEndian.Uint32(hdr[4:8])
+	body := raw[12:]
+	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(raw[8:12]) {
+		return nil, ErrChecksum
+	}
+	count := binary.BigEndian.Uint32(raw[4:8])
 	if count > uint32(MaxSym) {
 		return nil, fmt.Errorf("symtab: impossible symbol count %d", count)
 	}
 	t := New()
-	nameBuf := make([]byte, 0, 64)
 	for i := uint32(0); i < count; i++ {
-		var lenBuf [2]byte
-		if _, err := io.ReadFull(checked, lenBuf[:]); err != nil {
-			return nil, fmt.Errorf("symtab: reading name %d: %w", i, err)
+		end := 2
+		if len(body) >= end {
+			end += int(binary.BigEndian.Uint16(body))
 		}
-		nameLen := int(binary.BigEndian.Uint16(lenBuf[:]))
-		if cap(nameBuf) < nameLen {
-			nameBuf = make([]byte, nameLen)
+		if len(body) < end {
+			return nil, fmt.Errorf("symtab: name %d truncated", i)
 		}
-		nameBuf = nameBuf[:nameLen]
-		if _, err := io.ReadFull(checked, nameBuf); err != nil {
-			return nil, fmt.Errorf("symtab: reading name %d: %w", i, err)
-		}
-		name := string(nameBuf)
+		name := string(body[2:end])
+		body = body[end:]
 		if _, dup := t.byName[name]; dup {
 			return nil, fmt.Errorf("symtab: duplicate name %q in table", name)
 		}

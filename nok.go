@@ -165,7 +165,7 @@ type QueryStats = core.QueryStats
 // reader releases them.
 type Store struct {
 	// mu serializes administrative operations (Insert, Delete, Verify,
-	// RefreshStats, Close) at the Store level. Queries do not take it —
+	// Close) at the Store level. Queries do not take it —
 	// they pin a snapshot instead.
 	mu sync.RWMutex
 	db *core.DB
@@ -353,22 +353,24 @@ func ExplainAnalyze(st *Store, expr string) (string, error) {
 // Plan renders the cost-based plan for a query without executing it (the
 // EXPLAIN to QueryAnalyze's EXPLAIN ANALYZE): per-partition access paths
 // with estimated starting points, matches and pages, and the bottom-up
-// evaluation order. When the planner cannot run — the store predates the
-// statistics synopsis, or the synopsis is stale — the rendering says so
-// and names the fallback.
+// evaluation order.
 func (s *Store) Plan(expr string) (string, error) {
 	v, err := s.acquire()
 	if err != nil {
 		return "", err
 	}
 	defer v.Release()
-	return v.PlanText(expr)
+	p, err := v.Plan(expr)
+	if err != nil {
+		return "", err
+	}
+	return p.String(), nil
 }
 
 // ProvablyEmpty reports whether statistics alone prove the query returns
 // nothing from this store: a concrete tag test naming a tag the store has
-// zero of, or (with a fresh synopsis) a non-numeric equality literal whose
-// count-min estimate is zero. The reason string names the proof. The
+// zero of, or a non-numeric equality literal whose count-min estimate is
+// zero. The reason string names the proof. The
 // sharded executor (internal/shard) uses this to skip shards without
 // touching their pages.
 func (s *Store) ProvablyEmpty(expr string) (bool, string, error) {
@@ -386,7 +388,7 @@ func (s *Store) ProvablyEmpty(expr string) (bool, string, error) {
 }
 
 // SynopsisInfo summarizes the store's statistics synopsis (the planner's
-// input): totals, staleness, and the top-n tags and root-to-node paths by
+// input): totals and the top-n tags and root-to-node paths by
 // cardinality. See internal/core for field semantics.
 type SynopsisInfo = core.SynopsisInfo
 
@@ -398,18 +400,6 @@ func (s *Store) Synopsis(n int) SynopsisInfo {
 	}
 	defer v.Release()
 	return v.SynopsisInfo(n)
-}
-
-// RefreshStats rebuilds the statistics synopsis from the committed store
-// and commits it at the current epoch — the upgrade path for stores
-// created before the synopsis existed (updates refresh it automatically).
-func (s *Store) RefreshStats() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return mapClosed(s.db.RefreshSynopsis())
 }
 
 // MetricsText renders the process-wide metrics registry (pager I/O, B+-tree
